@@ -8,13 +8,17 @@
 //! allocations inside the measured window — the number the steady-state
 //! allocation test pins at zero.
 //!
+//! `--nodes` changes the node count. The load is normalized per node, so
+//! each node keeps the Figure-5 load and the event rate grows with the
+//! node count: the node-count axis of the benchmark.
+//!
 //! Used by `scripts/bench.sh` to produce the committed `BENCH_*.json`
 //! perf-trajectory records; see DESIGN.md ("Performance model & hot
 //! path").
 //!
 //! ```text
 //! throughput [--duration T] [--measure-from T] [--seed S] [--reps N]
-//!            [--baseline-eps E]
+//!            [--nodes K] [--baseline-eps E]
 //! ```
 //!
 //! `--measure-from` is the sim-time at which the wall clock (and the
@@ -37,6 +41,7 @@ struct Args {
     measure_from: f64,
     seed: u64,
     reps: usize,
+    nodes: usize,
     baseline_eps: Option<f64>,
 }
 
@@ -46,6 +51,7 @@ fn parse_args() -> Args {
         measure_from: 20_000.0,
         seed: 1,
         reps: 1,
+        nodes: SimConfig::baseline().nodes,
         baseline_eps: None,
     };
     let mut it = std::env::args().skip(1);
@@ -59,6 +65,7 @@ fn parse_args() -> Args {
             "--measure-from" => args.measure_from = value().parse().expect("--measure-from: f64"),
             "--seed" => args.seed = value().parse().expect("--seed: u64"),
             "--reps" => args.reps = value().parse().expect("--reps: usize"),
+            "--nodes" => args.nodes = value().parse().expect("--nodes: usize"),
             "--baseline-eps" => {
                 args.baseline_eps = Some(value().parse().expect("--baseline-eps: f64"))
             }
@@ -78,10 +85,12 @@ fn parse_args() -> Args {
 /// allocation delta over the measured window.
 fn one_run(args: &Args, record_allocs: bool, allocs: &mut Option<(u64, u64, u64)>) -> (u64, f64) {
     let cfg = SimConfig {
+        nodes: args.nodes,
         duration: args.duration,
         ..SimConfig::baseline()
     };
-    let mut sim = Simulation::new(cfg, args.seed).expect("baseline config is valid");
+    let mut sim = Simulation::new(cfg, args.seed)
+        .unwrap_or_else(|err| panic!("invalid configuration: {err}"));
     let mut engine = Engine::new();
     sim.prime(&mut engine);
     engine.run_until(&mut sim, SimTime::from(args.measure_from));
@@ -134,7 +143,7 @@ fn main() {
         _ => String::new(),
     };
     println!(
-        "{{\n  \"bench\": \"throughput\",\n  \"workload\": \"figure5_baseline\",\n  \"duration\": {},\n  \"measure_from\": {},\n  \"seed\": {},\n  \"reps\": {},\n  \"events\": {events},\n  \"wall_secs\": {wall_secs:.6},\n  \"events_per_sec\": {events_per_sec:.1},\n  \"allocs\": {alloc_json}{speedup_field}\n}}",
-        args.duration, args.measure_from, args.seed, args.reps,
+        "{{\n  \"bench\": \"throughput\",\n  \"workload\": \"figure5_baseline\",\n  \"nodes\": {},\n  \"duration\": {},\n  \"measure_from\": {},\n  \"seed\": {},\n  \"reps\": {},\n  \"events\": {events},\n  \"wall_secs\": {wall_secs:.6},\n  \"events_per_sec\": {events_per_sec:.1},\n  \"allocs\": {alloc_json}{speedup_field}\n}}",
+        args.nodes, args.duration, args.measure_from, args.seed, args.reps,
     );
 }

@@ -49,7 +49,14 @@ use crate::runner::{BatchEstimates, MultiRun, RunResult, StopRule};
 
 /// Version of both the canonical point text and the on-disk value
 /// format. Part of every key: bumping it invalidates all prior entries.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+///
+/// Version 3: node queue-length accumulators are updated where a queue
+/// changes, not after every event. A cached accumulator's `last_time` is
+/// now the time of the node's last queue change, and under sustained
+/// overload a replication's `mean_queue_len` can differ from a version 2
+/// entry in its last bits (the summation order changed). Version 2
+/// entries therefore miss instead of replaying.
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Canonical serialization and stable hashing
@@ -874,7 +881,7 @@ mod tests {
             2,
             64,
         ));
-        assert_eq!(key, "e02b39b0339bbac90e578a5e78895be2");
+        assert_eq!(key, "84ef8ff2d58a24626993341bd69af249");
     }
 
     #[test]

@@ -106,9 +106,15 @@ impl InService {
 
 /// One node: a ready queue, at most one job in service, and its
 /// observables.
+///
+/// The queue is private: every change to its length goes through
+/// [`Node::enqueue`], [`Node::pop`] or [`Node::remove_key`], which close
+/// the time-weighted queue-length window at the instant of the change.
+/// Accounting therefore costs O(1) per queue operation, and nothing that
+/// leaves a node's queue alone ever touches its statistics.
 #[derive(Debug)]
 pub(crate) struct Node {
-    pub queue: ReadyQueue<Job>,
+    queue: ReadyQueue<Job>,
     pub current: Option<InService>,
     /// Service speed in work units per time unit (1.0 in the paper).
     pub speed: f64,
@@ -136,19 +142,47 @@ impl Node {
         self.current.is_none()
     }
 
+    /// Number of jobs waiting in the ready queue.
+    pub fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Waiting plus in-service count — the backlog least-loaded placement
-    /// compares.
+    /// compares. Read only when placement is
+    /// [`crate::Placement::LeastLoaded`].
     pub fn backlog(&self) -> usize {
         self.queue.len() + usize::from(self.current.is_some())
     }
 
-    /// Puts `job` into the ready queue under its id, so abortion can
-    /// remove it in O(1) ([`ReadyQueue::remove_key`]).
-    pub fn enqueue(&mut self, presented_dl: SimTime, service_estimate: f64, job: Job) {
+    /// Puts `job` into the ready queue at `now` under its id, so abortion
+    /// can remove it in O(1) ([`Node::remove_key`]).
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        presented_dl: SimTime,
+        service_estimate: f64,
+        job: Job,
+    ) {
         self.queue.push_keyed(
             job.id(),
             QueuedTask::new(presented_dl, service_estimate, job),
         );
+        self.observe_queue(now);
+    }
+
+    /// Takes the next job per the node's policy at `now`, if any.
+    pub fn pop(&mut self, now: SimTime) -> Option<QueuedTask<Job>> {
+        let entry = self.queue.pop()?;
+        self.observe_queue(now);
+        Some(entry)
+    }
+
+    /// Removes the queued job with id `key` at `now`, if it is still
+    /// waiting.
+    pub fn remove_key(&mut self, now: SimTime, key: u64) -> Option<QueuedTask<Job>> {
+        let entry = self.queue.remove_key(key)?;
+        self.observe_queue(now);
+        Some(entry)
     }
 
     /// Detaches the job in service, crediting its busy time to the node.
@@ -159,8 +193,11 @@ impl Node {
         Some(serving)
     }
 
-    /// Records the current queue length at `now`.
-    pub fn observe_queue(&mut self, now: SimTime) {
+    /// Closes the queue-length window at `now`: the previous length is
+    /// credited for the time since the last change, and the current
+    /// length starts its own interval. Called by every method that
+    /// changes the length, right after the change.
+    fn observe_queue(&mut self, now: SimTime) {
         self.stats.observe_queue(now, self.queue.len() as f64);
     }
 }
@@ -186,11 +223,40 @@ mod tests {
         let mut node = Node::new(Policy::Edf, 1.0);
         assert!(node.is_idle());
         assert_eq!(node.backlog(), 0);
-        node.enqueue(SimTime::from(5.0), 1.0, job(1, 1.0));
-        node.enqueue(SimTime::from(6.0), 1.0, job(2, 1.0));
+        node.enqueue(SimTime::ZERO, SimTime::from(5.0), 1.0, job(1, 1.0));
+        node.enqueue(SimTime::ZERO, SimTime::from(6.0), 1.0, job(2, 1.0));
         assert_eq!(node.backlog(), 2);
-        assert!(node.queue.remove_key(1).is_some(), "keyed removal works");
+        assert!(
+            node.remove_key(SimTime::ZERO, 1).is_some(),
+            "keyed removal works"
+        );
         assert_eq!(node.backlog(), 1);
+    }
+
+    #[test]
+    fn queue_length_is_accounted_where_the_queue_changes() {
+        let t = SimTime::from;
+        let mut node = Node::new(Policy::Edf, 1.0);
+        // Length over time: 0 on [0,1), 1 on [1,2), 2 on [2,4),
+        // 1 on [4,7), 0 on [7,8), 1 on [8,10].
+        node.enqueue(t(1.0), t(5.0), 1.0, job(1, 1.0));
+        node.enqueue(t(2.0), t(6.0), 1.0, job(2, 1.0));
+        // A removal that misses leaves the window open.
+        assert!(node.remove_key(t(3.0), 99).is_none());
+        assert_eq!(node.stats.queue_stats().to_parts().1, t(2.0));
+        let first = node.pop(t(4.0)).expect("two queued");
+        assert_eq!(first.item.id(), 1, "EDF pops the earlier deadline");
+        assert!(node.remove_key(t(7.0), 2).is_some());
+        assert_eq!(node.queue_len(), 0);
+        // An empty pop changes nothing either.
+        assert!(node.pop(t(7.5)).is_none());
+        assert_eq!(node.stats.queue_stats().to_parts().1, t(7.0));
+        node.enqueue(t(8.0), t(9.0), 1.0, job(3, 1.0));
+        // Area 0 + 1 + 4 + 3 + 0 + 2 = 10 over 10 time units.
+        assert_eq!(node.stats.mean_queue_len(t(10.0)), 1.0);
+        // The accumulator was last touched by the last change, at t = 8.
+        let (area, last_time, last_value, _) = node.stats.queue_stats().to_parts();
+        assert_eq!((area, last_time, last_value), (8.0, t(8.0), 1.0));
     }
 
     #[test]

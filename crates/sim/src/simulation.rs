@@ -14,7 +14,7 @@ use sda_simcore::rng::Rng;
 use sda_simcore::stats::NodeStats;
 use sda_simcore::{Engine, Model, SimTime};
 
-use crate::config::{AbortPolicy, ConfigError, ResubmitPolicy, SimConfig};
+use crate::config::{AbortPolicy, ConfigError, Placement, ResubmitPolicy, SimConfig};
 use crate::fault::FaultState;
 use crate::metrics::Metrics;
 use crate::node::{InService, Job, LocalJob, Node, SubtaskJob};
@@ -114,7 +114,8 @@ pub struct Simulation {
 /// aliasing live contents — at worst it allocates on that rare path.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Per-node backlog snapshot for placement.
+    /// Per-node backlog snapshot for least-loaded placement; left empty
+    /// under every other placement policy, which never reads it.
     backlog: Vec<usize>,
     /// Releases produced by one `start_into`/`complete_leaf_into` call.
     releases: Vec<Release>,
@@ -230,6 +231,16 @@ impl Simulation {
         self.pm.active()
     }
 
+    /// Number of jobs waiting in `node`'s ready queue (the job in
+    /// service, if any, is not counted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not below the configured node count.
+    pub fn queue_len(&self, node: usize) -> usize {
+        self.nodes[node].queue_len()
+    }
+
     fn fresh_job_id(&mut self) -> u64 {
         let id = self.next_job_id;
         self.next_job_id += 1;
@@ -309,7 +320,9 @@ impl Simulation {
         // placement policy.
         let mut backlog = std::mem::take(&mut self.scratch.backlog);
         backlog.clear();
-        backlog.extend(self.nodes.iter().map(Node::backlog));
+        if self.cfg.placement == Placement::LeastLoaded {
+            backlog.extend(self.nodes.iter().map(Node::backlog));
+        }
         self.workload
             .place_into(spec_idx, &backlog, &mut g.leaf_node);
         self.scratch.backlog = backlog;
@@ -441,7 +454,7 @@ impl Simulation {
         pex: f64,
         job: Job,
     ) {
-        self.nodes[node].enqueue(presented_dl, pex, job);
+        self.nodes[node].enqueue(engine.now(), presented_dl, pex, job);
         if self.nodes[node].is_idle() {
             self.dispatch(engine, node);
         } else if self.cfg.preemptive {
@@ -486,7 +499,7 @@ impl Simulation {
         // Re-queue with the original presented deadline; the service
         // estimate becomes the remaining work (only SJF reads it, and
         // shortest-*remaining*-time is the sensible preemptive reading).
-        self.nodes[node].enqueue(serving.presented_dl, remaining, job);
+        self.nodes[node].enqueue(now, serving.presented_dl, remaining, job);
     }
 
     /// Starts serving the next job if the node is idle, applying the local
@@ -501,8 +514,8 @@ impl Simulation {
             return;
         }
         let local_abort = matches!(self.cfg.abort, AbortPolicy::LocalScheduler { .. });
-        while let Some(entry) = self.nodes[node].queue.pop() {
-            let now = engine.now();
+        let now = engine.now();
+        while let Some(entry) = self.nodes[node].pop(now) {
             if local_abort && entry.deadline < now {
                 // Expired in the queue: abort without serving. Resubmission
                 // may re-enter dispatch and fill this server.
@@ -660,13 +673,6 @@ impl Model for Simulation {
                 deadline_bits,
                 ar_bits,
             } => self.on_comm_release(engine, slot, leaf, deadline_bits, ar_bits),
-        }
-        // Close the queue-length accounting window at the current time for
-        // any node whose queue changed (cheap: k is small, and update is a
-        // no-op amortized when the length is unchanged).
-        let now = engine.now();
-        for node in &mut self.nodes {
-            node.observe_queue(now);
         }
     }
 }

@@ -44,7 +44,7 @@ impl Simulation {
             return;
         }
         // Still queued? O(1) keyed removal (the queue indexes by job id).
-        if let Some(entry) = self.nodes[node].queue.remove_key(job_id) {
+        if let Some(entry) = self.nodes[node].remove_key(now, job_id) {
             if let Job::Local(job) = entry.item {
                 self.metrics.aborted_locals += 1;
                 if job.counted {
@@ -94,7 +94,7 @@ impl Simulation {
                 }
                 LeafState::Queued => {
                     let node = g.leaf_node[leaf];
-                    let removed = self.nodes[node].queue.remove_key(g.leaf_job[leaf]);
+                    let removed = self.nodes[node].remove_key(now, g.leaf_job[leaf]);
                     debug_assert!(removed.is_some(), "queued leaf must be in its queue");
                     if let Some(entry) = removed {
                         // Preemption may have left partial work behind.

@@ -43,7 +43,7 @@ impl Simulation {
                         g.leaf_state[sub.leaf] = LeafState::Queued;
                     }
                     self.metrics.crash_requeues += 1;
-                    self.nodes[node].enqueue(serving.presented_dl, job.ex(), job);
+                    self.nodes[node].enqueue(now, serving.presented_dl, job.ex(), job);
                 }
                 CrashPolicy::AbortTask => {
                     self.crash_abort_job(engine, node, serving.job, partial);
@@ -54,7 +54,7 @@ impl Simulation {
         // Under AbortTask the outage also kills everything waiting at the
         // node; under RequeueSubtask queued work just waits it out.
         if self.faults.cfg.crash_policy == CrashPolicy::AbortTask {
-            while let Some(entry) = self.nodes[node].queue.pop() {
+            while let Some(entry) = self.nodes[node].pop(now) {
                 // Preemption may have left partial work behind.
                 let partial = entry.item.ex() - entry.item.remaining();
                 self.crash_abort_job(engine, node, entry.item, partial);

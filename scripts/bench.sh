@@ -6,7 +6,8 @@
 #   scripts/bench.sh [throughput] [OUT.json]
 #       End-to-end throughput of the arrival→dispatch→completion hot
 #       path: builds the bench crate (with allocation counting) and runs
-#       the `throughput` binary over the default Figure-5 workload.
+#       the `throughput` binary over the default Figure-5 workload, or
+#       over the same per-node load on SDA_BENCH_NODES nodes.
 #
 #   scripts/bench.sh sweep [OUT.json]
 #       Campaign-level sweep-engine benchmark: runs the full quick-scale
@@ -19,6 +20,9 @@
 #
 # Environment (throughput mode):
 #   SDA_BENCH_REPS      repetitions, best-of-N (default 5)
+#   SDA_BENCH_NODES     node count, per-node load held fixed (default 6,
+#                       the Figure-5 model); e.g. 600 for the node-count
+#                       axis
 #   SDA_BASELINE_EPS    reference events/sec; adds a "speedup" field.
 #                       Defaults to the pre-optimization baseline stored
 #                       in the newest committed BENCH_*.json (its
@@ -51,11 +55,15 @@ if [ "$mode" = "sweep" ]; then
 fi
 
 reps="${SDA_BENCH_REPS:-5}"
+nodes="${SDA_BENCH_NODES:-}"
 baseline="${SDA_BASELINE_EPS:-}"
 
 cargo build --release -p sda-bench --features alloc-count
 
 args=(--reps "$reps")
+if [ -n "$nodes" ]; then
+  args+=(--nodes "$nodes")
+fi
 if [ -n "$baseline" ]; then
   args+=(--baseline-eps "$baseline")
 fi

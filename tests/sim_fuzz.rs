@@ -2,6 +2,11 @@
 //! horizon without panicking, and the accounting invariants must hold
 //! whatever combination of strategy, shape, scheduler, abortion,
 //! placement, speeds, and burstiness is active.
+//!
+//! The same configurations also check the queue-length accounting
+//! differentially: the simulator credits each node's queue length where
+//! the queue changes, and a reference wrapper samples every node after
+//! every event instead. Both must give the same time-weighted means.
 
 use proptest::prelude::*;
 
@@ -19,7 +24,9 @@ fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::ConfigError> {
 }
 
 use sda::sched::Policy;
-use sda::sim::{Burst, Placement, ServiceShape};
+use sda::sim::{Burst, CrashPolicy, Ev, FaultConfig, Placement, ServiceShape, Simulation};
+use sda::simcore::stats::TimeWeighted;
+use sda::simcore::{Engine, Model};
 
 fn arb_strategy() -> impl Strategy<Value = SdaStrategy> {
     let ssp = prop_oneof![
@@ -167,5 +174,145 @@ proptest! {
         let again = run(&cfg, seed).expect("validated above");
         prop_assert_eq!(again.metrics.local_md, m.local_md);
         prop_assert_eq!(again.events, result.events);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Queue-length accounting: at mutation vs. sampled after every event
+// ---------------------------------------------------------------------
+
+/// The reference accounting: after every event, every node's queue
+/// length is sampled into its own accumulator, whether or not that
+/// queue changed. O(nodes) per event, and obviously correct.
+struct SampleEveryNode {
+    sim: Simulation,
+    queues: Vec<TimeWeighted>,
+}
+
+impl Model for SampleEveryNode {
+    type Event = Ev;
+
+    fn handle(&mut self, engine: &mut Engine<Ev>, event: Ev) {
+        self.sim.handle(engine, event);
+        let now = engine.now();
+        for (node, queue) in self.queues.iter_mut().enumerate() {
+            queue.update(now, self.sim.queue_len(node) as f64);
+        }
+    }
+}
+
+/// Runs `cfg` once and returns each node's time-weighted mean queue
+/// length as `(simulator, reference)`, or `None` for an invalid config.
+fn queue_means(cfg: &SimConfig, seed: u64) -> Option<Vec<(f64, f64)>> {
+    let mut sim = Simulation::new(cfg.clone(), seed).ok()?;
+    let mut engine = Engine::new();
+    sim.prime(&mut engine);
+    let mut model = SampleEveryNode {
+        sim,
+        queues: vec![TimeWeighted::new(SimTime::ZERO, 0.0); cfg.nodes],
+    };
+    let end = SimTime::from(cfg.duration);
+    engine.run_until(&mut model, end);
+    let (_, stats) = model.sim.into_results();
+    Some(
+        stats
+            .iter()
+            .zip(&model.queues)
+            .map(|(s, q)| (s.mean_queue_len(end), q.average(end)))
+            .collect(),
+    )
+}
+
+/// Whether `a` and `b` agree to within `1e-12` relative.
+fn agree(a: f64, b: f64) -> bool {
+    a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+}
+
+fn arb_fault() -> impl Strategy<Value = FaultConfig> {
+    prop_oneof![
+        Just(FaultConfig::disabled()),
+        prop_oneof![
+            Just(CrashPolicy::AbortTask),
+            Just(CrashPolicy::RequeueSubtask)
+        ]
+        .prop_map(|crash_policy| FaultConfig {
+            mttf: 150.0,
+            mttr: 15.0,
+            crash_policy,
+            straggler_prob: 0.05,
+            straggler_factor: 4.0,
+            comm_delay_prob: 0.1,
+            comm_delay_mean: 0.5,
+        }),
+    ]
+}
+
+/// [`arb_config`] on 1–8 nodes, with faults on or off.
+fn arb_accounting_config() -> impl Strategy<Value = SimConfig> {
+    (arb_config(), 1usize..=8, arb_fault()).prop_map(|(mut cfg, nodes, fault)| {
+        if cfg.node_speeds.len() != nodes {
+            cfg.node_speeds.clear();
+        }
+        cfg.nodes = nodes;
+        cfg.fault = fault;
+        cfg
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn queue_accounting_at_mutation_matches_sampling_every_node(
+        cfg in arb_accounting_config(),
+        seed in 0u64..1_000,
+    ) {
+        let Some(means) = queue_means(&cfg, seed) else { return Ok(()) };
+        prop_assert_eq!(means.len(), cfg.nodes);
+        for (node, &(ours, reference)) in means.iter().enumerate() {
+            prop_assert!(
+                agree(ours, reference),
+                "node {node}: {ours} at mutation vs {reference} sampled"
+            );
+        }
+    }
+}
+
+#[test]
+fn queue_accounting_is_bit_identical_at_normal_load() {
+    let cfg = SimConfig {
+        duration: 20_000.0,
+        ..SimConfig::baseline()
+    };
+    let means = queue_means(&cfg, 7).expect("baseline config is valid");
+    for (node, (ours, reference)) in means.into_iter().enumerate() {
+        assert!(ours > 0.0, "node {node} saw no queueing");
+        assert_eq!(ours.to_bits(), reference.to_bits(), "node {node}");
+    }
+}
+
+#[test]
+fn queue_accounting_agrees_under_overload_at_sixty_nodes() {
+    let cfg = SimConfig {
+        nodes: 60,
+        load: 0.97,
+        placement: Placement::LeastLoaded,
+        preemptive: true,
+        fault: FaultConfig {
+            mttf: 500.0,
+            mttr: 10.0,
+            crash_policy: CrashPolicy::RequeueSubtask,
+            ..FaultConfig::disabled()
+        },
+        duration: 3_000.0,
+        warmup: 100.0,
+        ..SimConfig::baseline()
+    };
+    let means = queue_means(&cfg, 11).expect("overload config is valid");
+    for (node, (ours, reference)) in means.into_iter().enumerate() {
+        assert!(
+            agree(ours, reference),
+            "node {node}: {ours} at mutation vs {reference} sampled"
+        );
     }
 }
