@@ -67,7 +67,7 @@ struct RunOptions {
     seed: u64,
     /// Replications per point (the floor when `--ci-target` is set).
     reps: usize,
-    /// Worker threads per point (0 = the machine's parallelism).
+    /// Worker threads (0 = the machine's parallelism).
     jobs: usize,
     /// Adaptive stopping: target 95% CI width ratio.
     ci_target: Option<f64>,
@@ -86,51 +86,67 @@ struct RunOptions {
 }
 
 impl RunOptions {
-    /// Runs `cfg` under these options. The trace (if requested) records
-    /// replication 0 only, so its bytes are independent of `--jobs`.
-    fn execute(&self, cfg: &SimConfig) -> Result<MultiRun, String> {
-        let stop = match self.ci_target {
+    /// The stop rule: adaptive under `--ci-target`, fixed otherwise.
+    fn stop(&self) -> StopRule {
+        match self.ci_target {
             Some(target) => StopRule::CiWidth(target),
             None => StopRule::FixedReps(self.reps),
-        };
-        // Tracing needs the live event stream, so a traced run always
-        // simulates; otherwise the cached result is bit-identical to a
-        // fresh one and the cache dir (if any) answers first.
-        if self.trace_out.is_none() {
-            if let Some(dir) = &self.cache_dir {
-                let cache = Arc::new(
-                    PointCache::with_dir(dir)
-                        .map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))?,
-                );
-                let results = Sweep::new()
-                    .point(SweepPoint::new(cfg.clone(), self.seed).stop(stop))
-                    .jobs(self.jobs)
-                    .min_reps(self.reps.max(2))
-                    .max_reps(self.max_reps)
-                    .cache(Arc::clone(&cache))
-                    .execute()
-                    .map_err(|e| e.to_string())?;
-                eprintln!("{}", cache.report());
-                let [multi]: [MultiRun; 1] = results.try_into().expect("one point in, one out");
-                return Ok(multi);
-            }
         }
-        let mut runner = Runner::new(cfg.clone())
-            .seed(self.seed)
+    }
+
+    /// Runs `cfgs` as the points of one sweep, with the cache dir (if
+    /// any) attached, and returns their results in order.
+    fn execute_all(&self, cfgs: Vec<SimConfig>) -> Result<Vec<MultiRun>, String> {
+        let stop = self.stop();
+        let mut sweep = Sweep::new()
+            .points(
+                cfgs.into_iter()
+                    .map(|cfg| SweepPoint::new(cfg, self.seed).stop(stop)),
+            )
             .jobs(self.jobs)
-            .stop(stop)
             .min_reps(self.reps.max(2))
             .max_reps(self.max_reps);
-        if let Some(path) = &self.trace_out {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-            let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            runner = runner.trace(SharedSink::new(Box::new(sink)));
+        let cache = self
+            .cache_dir
+            .as_ref()
+            .map(|dir| {
+                PointCache::with_dir(dir)
+                    .map(Arc::new)
+                    .map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))
+            })
+            .transpose()?;
+        if let Some(cache) = &cache {
+            sweep = sweep.cache(Arc::clone(cache));
         }
-        let multi = runner.execute().map_err(|e| e.to_string())?;
-        if let Some(path) = &self.trace_out {
-            eprintln!("trace written to {path}");
+        let results = sweep.execute().map_err(|e| e.to_string())?;
+        if let Some(cache) = &cache {
+            eprintln!("{}", cache.report());
         }
+        Ok(results)
+    }
+
+    /// Runs `cfg` under these options. Tracing needs the live event
+    /// stream, so a traced run always simulates, through a [`Runner`]
+    /// whose trace records replication 0 only (its bytes are independent
+    /// of `--jobs`); otherwise the cache dir (if any) answers first.
+    fn execute(&self, cfg: &SimConfig) -> Result<MultiRun, String> {
+        let Some(path) = &self.trace_out else {
+            let mut results = self.execute_all(vec![cfg.clone()])?;
+            return Ok(results.pop().expect("one point in, one out"));
+        };
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
+        let sink = JsonlSink::new(std::io::BufWriter::new(file));
+        let multi = Runner::new(cfg.clone())
+            .seed(self.seed)
+            .jobs(self.jobs)
+            .stop(self.stop())
+            .min_reps(self.reps.max(2))
+            .max_reps(self.max_reps)
+            .trace(SharedSink::new(Box::new(sink)))
+            .execute()
+            .map_err(|e| e.to_string())?;
+        eprintln!("trace written to {path}");
         Ok(multi)
     }
 
@@ -277,24 +293,48 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         return Err("--trace-out is only supported by `sda run`".into());
     }
     base.validate().map_err(|e| e.to_string())?;
+    let points = strategy_args
+        .into_iter()
+        .map(|label| {
+            let strategy = parse_strategy(label)?;
+            let name = strategy.label().into_owned();
+            Ok((
+                format!("{name:<12}"),
+                name,
+                base.clone().with_strategy(strategy),
+            ))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    run_table(&opts, format!("{:<12}", "strategy"), points)
+}
+
+/// Runs labelled points `(row label, stats key, config)` as one sweep,
+/// then prints a miss-rate row per point under `header` and writes the
+/// keyed `stats.json`, if asked.
+fn run_table(
+    opts: &RunOptions,
+    header: String,
+    points: Vec<(String, String, SimConfig)>,
+) -> Result<(), String> {
+    let (labels, cfgs): (Vec<_>, Vec<_>) = points
+        .into_iter()
+        .map(|(label, key, cfg)| ((label, key), cfg))
+        .unzip();
+    let results = opts.execute_all(cfgs)?;
     println!(
-        "{:<12} {:>16} {:>16} {:>16}",
-        "strategy", "MD_local", "MD_global", "missed work"
+        "{header} {:>16} {:>16} {:>16}",
+        "MD_local", "MD_global", "missed work"
     );
     let mut stats_entries = Vec::new();
-    for label in strategy_args {
-        let strategy = parse_strategy(label)?;
-        let cfg = base.clone().with_strategy(strategy);
-        let multi = opts.execute(&cfg)?;
+    for ((label, key), multi) in labels.into_iter().zip(results) {
         println!(
-            "{:<12} {:>16} {:>16} {:>16}",
-            strategy.label(),
-            format!("{}", multi.md_local()),
-            format!("{}", multi.md_global()),
-            format!("{}", multi.missed_work()),
+            "{label} {:>16} {:>16} {:>16}",
+            multi.md_local().to_string(),
+            multi.md_global().to_string(),
+            multi.missed_work().to_string(),
         );
         if opts.stats_out.is_some() {
-            stats_entries.push((strategy.label().into_owned(), opts.stats_json(&multi)));
+            stats_entries.push((key, opts.stats_json(&multi)));
         }
     }
     if let Some(path) = &opts.stats_out {
@@ -358,31 +398,16 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if opts.trace_out.is_some() {
         return Err("--trace-out is only supported by `sda run`".into());
     }
-    println!(
-        "{:<10} {:>16} {:>16} {:>16}",
-        key, "MD_local", "MD_global", "missed work"
-    );
-    let mut stats_entries = Vec::new();
-    for value in values {
-        let mut cfg = base.clone();
-        apply_setting(&mut cfg, &key, &format!("{value}")).map_err(|e| e.to_string())?;
-        cfg.validate().map_err(|e| e.to_string())?;
-        let multi = opts.execute(&cfg)?;
-        println!(
-            "{:<10.3} {:>16} {:>16} {:>16}",
-            value,
-            format!("{}", multi.md_local()),
-            format!("{}", multi.md_global()),
-            format!("{}", multi.missed_work()),
-        );
-        if opts.stats_out.is_some() {
-            stats_entries.push((format!("{key}={value}"), opts.stats_json(&multi)));
-        }
-    }
-    if let Some(path) = &opts.stats_out {
-        write_stats(path, &keyed_stats(&stats_entries))?;
-    }
-    Ok(())
+    let points = values
+        .iter()
+        .map(|value| {
+            let mut cfg = base.clone();
+            apply_setting(&mut cfg, &key, &format!("{value}")).map_err(|e| e.to_string())?;
+            cfg.validate().map_err(|e| e.to_string())?;
+            Ok((format!("{value:<10.3}"), format!("{key}={value}"), cfg))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    run_table(&opts, format!("{key:<10}"), points)
 }
 
 fn cmd_decompose(args: &[String]) -> Result<(), String> {
@@ -485,7 +510,7 @@ fn print_help(topic: Option<&str>) {
          options (run/compare/sweep):\n\
          \x20 --seed N       base seed of the replication stream (default 42)\n\
          \x20 --reps N       replications per point (default 2; the floor with --ci-target)\n\
-         \x20 --jobs N       worker threads per point (default 0 = all cores)\n\
+         \x20 --jobs N       worker threads (default 0 = all cores)\n\
          \x20 --ci-target R  add replications until each MD metric's 95% CI\n\
          \x20                width ratio is <= R (capped by --max-reps)\n\
          \x20 --max-reps N   replication cap under --ci-target (default 64)\n\
@@ -604,6 +629,35 @@ mod tests {
         let warm = cached.execute(&cfg).unwrap().stats().to_json();
         assert_eq!(want, cold);
         assert_eq!(want, warm);
+        // A whole command's points in one sweep, adaptive and with a
+        // duplicate, match per-point runs, cold and replayed.
+        let cfgs = vec![cfg.clone(), cfg.clone().with_load(0.7), cfg];
+        let adaptive = RunOptions {
+            ci_target: Some(0.2),
+            max_reps: 8,
+            ..fresh.clone()
+        };
+        let want: Vec<String> = cfgs
+            .iter()
+            .map(|cfg| adaptive.execute(cfg).unwrap().stats().to_json())
+            .collect();
+        let batched = RunOptions {
+            jobs: 2,
+            ..adaptive.clone()
+        };
+        for cache_dir in [None, cached.cache_dir.clone(), cached.cache_dir.clone()] {
+            let opts = RunOptions {
+                cache_dir,
+                ..batched.clone()
+            };
+            let got: Vec<String> = opts
+                .execute_all(cfgs.clone())
+                .unwrap()
+                .iter()
+                .map(|multi| multi.stats().to_json())
+                .collect();
+            assert_eq!(want, got);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

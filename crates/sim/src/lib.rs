@@ -17,10 +17,10 @@
 //! | `pm` (private) | the process manager's slot table of in-flight global tasks |
 //! | [`Simulation`] | the orchestration tying the layers together over the engine |
 //! | [`trace`] | the structured [`trace::TraceSink`] observability pipeline |
-//! | [`runner`] | replications, parallel execution, adaptive stopping, stats |
+//! | [`runner`] | the single-point [`Runner`] builder, stopping rules, stats |
 //! | [`fault`] | deterministic fault injection: crashes, stragglers, comm delays |
 //! | [`cache`] | content-addressed memoization of completed data points |
-//! | [`sweep`] | campaign-level work-stealing scheduler over many points |
+//! | [`sweep`] | the replication engine: one work-stealing pool for every point and round |
 //!
 //! ```
 //! use sda_core::SdaStrategy;

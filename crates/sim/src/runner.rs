@@ -1,7 +1,7 @@
-//! Running simulations: the [`Runner`] builder executes independent
-//! replications on parallel worker threads, with fixed-count, adaptive
-//! (CI-width) or batch-means stopping, and renders per-metric statistics
-//! as a machine-readable `stats.json` record.
+//! Running simulations: the [`Runner`] builder executes the independent
+//! replications of one data point, with fixed-count, adaptive (CI-width)
+//! or batch-means stopping, and renders per-metric statistics as a
+//! machine-readable `stats.json` record.
 //!
 //! The paper's methodology (§5): each data point is the average of
 //! independent one-million-time-unit runs, reported with a 95%
@@ -9,6 +9,10 @@
 //! derived seed, combined per metric with a Student-t interval — and
 //! generalizes it with adaptive stopping: keep adding replications until
 //! every tracked metric's CI width ratio falls below a target.
+//!
+//! A `Runner` is a single-point [`Sweep`]: it builds a
+//! one-point campaign and executes it on the sweep engine, which is the
+//! only place replications are scheduled onto worker threads.
 //!
 //! # Determinism
 //!
@@ -23,6 +27,8 @@
 //! [`derive_seed`]`(b, 0)`), so a trace file is byte-identical at any
 //! `jobs` level.
 //!
+//! [`derive_seed`]: sda_simcore::rng::derive_seed
+//!
 //! ```
 //! use sda_sim::{Runner, SimConfig, StopRule};
 //! let cfg = SimConfig { duration: 2_000.0, warmup: 100.0, ..SimConfig::baseline() };
@@ -36,16 +42,17 @@
 //! println!("{}", multi.stats().to_json());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use sda_simcore::rng::{derive_seed, derive_seeds};
-use sda_simcore::stats::{Estimate, NodeStats, Replications, Summary};
+use sda_simcore::rng::derive_seeds;
+use sda_simcore::stats::{BatchMeans, Estimate, NodeStats, Replications, Summary};
 use sda_simcore::{Engine, SimTime};
 
 use crate::config::{ConfigError, SimConfig};
 use crate::metrics::Metrics;
 use crate::simulation::Simulation;
-use crate::trace::{FanoutSink, SharedSink, TraceEvent};
+use crate::sweep::{Sweep, SweepPoint};
+use crate::trace::{FanoutSink, SharedSink, TraceEvent, TraceSink};
 
 /// The outcome of one simulation run.
 #[derive(Debug, Clone)]
@@ -155,7 +162,7 @@ impl Runner {
     }
 
     /// Sets the base seed; replication `i` runs with
-    /// [`derive_seed`]`(base, i)`.
+    /// [`derive_seed`](sda_simcore::rng::derive_seed)`(base, i)`.
     pub fn seed(mut self, base: u64) -> Runner {
         self.seed = base;
         self
@@ -198,148 +205,43 @@ impl Runner {
     }
 
     /// Attaches a trace sink to **replication 0 only** (the one seeded
-    /// with [`derive_seed`]`(base, 0)`), so traced output is independent
-    /// of the `jobs` level and of how many replications follow. The sink
-    /// is flushed when that replication finishes.
+    /// with `derive_seed(base, 0)`), so traced output is independent of
+    /// the `jobs` level and of how many replications follow. The sink is
+    /// flushed when that replication finishes.
     pub fn trace(mut self, sink: SharedSink) -> Runner {
         self.trace = Some(sink);
         self
     }
 
-    /// The seed of replication `index` under this runner's seed source.
-    fn seed_of(&self, index: usize) -> u64 {
-        match &self.explicit_seeds {
-            Some(list) => list[index],
-            None => derive_seed(self.seed, index as u64),
-        }
-    }
-
-    /// The largest replication count this runner may reach.
-    fn seed_budget(&self, want: usize) -> usize {
-        match &self.explicit_seeds {
-            Some(list) => want.min(list.len()),
-            None => want,
-        }
-    }
-
-    /// The trace sink for replication `index`, if any.
-    fn trace_for(&self, index: usize) -> Option<SharedSink> {
-        if index == 0 {
-            self.trace.clone()
-        } else {
-            None
-        }
-    }
-
-    /// Worker-thread count to use.
-    fn effective_jobs(&self) -> usize {
-        if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    /// Executes the configured replications and combines them.
+    /// Executes the configured replications and combines them, as a
+    /// single-point [`Sweep`].
     ///
     /// # Errors
     ///
     /// Returns the configuration's validation error before starting any
-    /// run; runs themselves cannot fail.
+    /// run.
     ///
     /// # Panics
     ///
-    /// Panics if the rule asks for zero replications (explicit empty
-    /// seed list, `FixedReps(0)`), if `BatchMeans.batch_size == 0`, or
-    /// if a worker thread panics.
+    /// Panics before any run if the rule asks for zero replications
+    /// (explicit empty seed list, `FixedReps(0)`), if a `CiWidth` target
+    /// is not positive, or if `BatchMeans.batch_size == 0`; and if a
+    /// replication panics.
     pub fn execute(&self) -> Result<MultiRun, ConfigError> {
-        self.cfg.validate()?;
-        match self.stop {
-            StopRule::FixedReps(count) => {
-                let count = self.seed_budget(count);
-                assert!(count > 0, "need at least one replication");
-                let runs = self.run_indices(0, count);
-                Ok(MultiRun { runs, batch: None })
-            }
-            StopRule::CiWidth(target) => {
-                assert!(target > 0.0, "CI width target must be positive");
-                let floor = self.seed_budget(self.min_reps.max(2));
-                let cap = self.seed_budget(self.max_reps).max(floor);
-                assert!(floor > 0, "need at least one replication");
-                let mut runs = self.run_indices(0, floor);
-                // Round sizes depend only on the current count, never on
-                // `jobs` or timing, so the replication schedule — and
-                // therefore the result — is identical at any parallelism.
-                while !ci_converged(&runs, target) && runs.len() < cap {
-                    let add = (runs.len() / 2).max(2).min(cap - runs.len());
-                    let more = self.run_indices(runs.len(), add);
-                    runs.extend(more);
-                }
-                Ok(MultiRun { runs, batch: None })
-            }
-            StopRule::BatchMeans { batch_size } => {
-                let seed = self.seed_of(0);
-                let (run, batch) =
-                    run_batch_means_impl(&self.cfg, seed, batch_size, self.trace_for(0))?;
-                Ok(MultiRun {
-                    runs: vec![run],
-                    batch: Some(batch),
-                })
-            }
-        }
-    }
-
-    /// Runs replications `first..first + count` across the worker pool,
-    /// returned in replication order.
-    fn run_indices(&self, first: usize, count: usize) -> Vec<RunResult> {
-        let jobs = self.effective_jobs().min(count).max(1);
-        if jobs == 1 {
-            return (first..first + count)
-                .map(|i| {
-                    run_single(&self.cfg, self.seed_of(i), self.trace_for(i))
-                        .expect("config validated in execute")
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, RunResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let next = &next;
-                    let runner = &*self;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let offset = next.fetch_add(1, Ordering::Relaxed);
-                            if offset >= count {
-                                return out;
-                            }
-                            let index = first + offset;
-                            let result = run_single(
-                                &runner.cfg,
-                                runner.seed_of(index),
-                                runner.trace_for(index),
-                            )
-                            .expect("config validated in execute");
-                            out.push((index, result));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        let mut sweep = Sweep::new()
+            .point(SweepPoint::new(self.cfg.clone(), self.seed).stop(self.stop))
+            .jobs(self.jobs)
+            .min_reps(self.min_reps)
+            .max_reps(self.max_reps);
+        sweep.seed_list = self.explicit_seeds.clone();
+        sweep.trace = self.trace.clone();
+        Ok(sweep.execute()?.pop().expect("one point in, one out"))
     }
 }
 
-/// The metrics whose CI width drives [`StopRule::CiWidth`].
-fn ci_converged(runs: &[RunResult], target: f64) -> bool {
+/// Whether every metric tracked by [`StopRule::CiWidth`] has converged
+/// to `target`.
+pub(crate) fn ci_converged(runs: &[RunResult], target: f64) -> bool {
     if runs.len() < 2 {
         return false;
     }
@@ -352,19 +254,6 @@ fn ci_converged(runs: &[RunResult], target: f64) -> bool {
         })
 }
 
-/// Runs one simulation to its configured duration, optionally feeding a
-/// trace sink (flushed at the end of the run). Shared with the sweep
-/// engine, which schedules these same per-replication units across its
-/// own worker pool.
-pub(crate) fn run_single(
-    cfg: &SimConfig,
-    seed: u64,
-    trace: Option<SharedSink>,
-) -> Result<RunResult, ConfigError> {
-    run_single_with_budget(cfg, seed, trace, None)?
-        .map_err(|_| unreachable!("no budget, no budget exhaustion"))
-}
-
 /// A replication exceeded its event-count budget (watchdog): the run was
 /// cut off mid-horizon and its partial results discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,27 +264,26 @@ pub(crate) struct BudgetExceeded {
     pub budget: u64,
 }
 
-/// [`run_single`] with an optional event-count watchdog.
+/// Runs one simulation of a validated configuration to its horizon,
+/// optionally feeding a trace sink (flushed at the end of the run) and
+/// under an optional event-count watchdog.
 ///
-/// With `budget: None` the engine runs the horizon in one call — the
-/// exact pre-watchdog code path. With a budget, the horizon is run in
-/// 256 equal time chunks (chunked [`Engine::run_until`] calls process
-/// the identical event sequence, so results are bit-identical either
-/// way), checking the event count between chunks; a runaway replication
-/// comes back as `Ok(Err(BudgetExceeded))` instead of looping forever.
-///
-/// The outer `Result` is configuration validation; the inner one is the
-/// watchdog verdict.
+/// With `budget: None` the engine runs the horizon in one call. With a
+/// budget, the horizon is run in 256 equal time chunks (chunked
+/// [`Engine::run_until`] calls process the identical event sequence, so
+/// results are bit-identical either way), checking the event count
+/// between chunks; a runaway replication comes back as
+/// `Err(BudgetExceeded)` instead of looping forever.
 pub(crate) fn run_single_with_budget(
     cfg: &SimConfig,
     seed: u64,
-    trace: Option<SharedSink>,
+    sink: Option<Box<dyn TraceSink>>,
     budget: Option<u64>,
-) -> Result<Result<RunResult, BudgetExceeded>, ConfigError> {
+) -> Result<RunResult, BudgetExceeded> {
     test_hooks::check(seed);
-    let mut sim = Simulation::new(cfg.clone(), seed)?;
-    if let Some(sink) = trace {
-        sim.set_sink(Box::new(sink));
+    let mut sim = Simulation::new(cfg.clone(), seed).expect("config validated before scheduling");
+    if let Some(sink) = sink {
+        sim.set_sink(sink);
     }
     let mut engine = Engine::new();
     sim.prime(&mut engine);
@@ -410,10 +298,10 @@ pub(crate) fn run_single_with_budget(
                 let until = cfg.duration * f64::from(chunk) / f64::from(CHUNKS);
                 engine.run_until(&mut sim, SimTime::from(until));
                 if engine.events_processed() > limit {
-                    return Ok(Err(BudgetExceeded {
+                    return Err(BudgetExceeded {
                         events: engine.events_processed(),
                         budget: limit,
-                    }));
+                    });
                 }
             }
         }
@@ -430,7 +318,7 @@ pub(crate) fn run_single_with_budget(
         .iter()
         .map(|s| s.mean_queue_len(SimTime::from(duration)))
         .collect();
-    Ok(Ok(RunResult {
+    Ok(RunResult {
         metrics,
         events,
         busy,
@@ -439,7 +327,7 @@ pub(crate) fn run_single_with_budget(
         duration,
         seed,
         wall_secs,
-    }))
+    })
 }
 
 /// Test-only fault hooks for the harness itself: lets integration tests
@@ -484,20 +372,17 @@ pub struct BatchEstimates {
     pub batches: (usize, usize),
 }
 
-/// Body of the batch-means mode: one run with an internal trace sink
-/// cutting post-warm-up miss indicators into contiguous batches. A user
-/// trace sink, if any, rides along via a fan-out.
-fn run_batch_means_impl(
+/// The batch-means unit body: one replication whose post-warm-up miss
+/// indicators are cut into contiguous batches by a trace sink, fanned out
+/// ahead of the user's sink, if any.
+pub(crate) fn run_batch_means(
     cfg: &SimConfig,
     seed: u64,
     batch_size: u64,
-    trace: Option<SharedSink>,
-) -> Result<(RunResult, BatchEstimates), ConfigError> {
-    use sda_simcore::stats::BatchMeans;
-    use std::sync::{Arc, Mutex};
-
-    let mut sim = Simulation::new(cfg.clone(), seed)?;
-    let acc: Arc<Mutex<(BatchMeans, BatchMeans)>> = Arc::new(Mutex::new((
+    user: Option<SharedSink>,
+    budget: Option<u64>,
+) -> Result<(RunResult, BatchEstimates), BudgetExceeded> {
+    let acc = Arc::new(Mutex::new((
         BatchMeans::new(batch_size),
         BatchMeans::new(batch_size),
     )));
@@ -518,39 +403,11 @@ fn run_batch_means_impl(
             _ => {}
         }
     };
-    match trace {
-        Some(user) => sim.set_sink(Box::new(FanoutSink::new(vec![
-            Box::new(batcher),
-            Box::new(user),
-        ]))),
-        None => sim.set_sink(Box::new(batcher)),
-    }
-    let mut engine = Engine::new();
-    sim.prime(&mut engine);
-    let started = std::time::Instant::now();
-    engine.run_until(&mut sim, SimTime::from(cfg.duration));
-    let wall_secs = started.elapsed().as_secs_f64();
-    if let Some(mut sink) = sim.take_sink() {
-        sink.flush();
-    }
-    let events = engine.events_processed();
-    let duration = cfg.duration;
-    let (metrics, node_stats) = sim.into_results();
-    let busy = node_stats.iter().map(|s| s.busy()).collect();
-    let mean_queue_len = node_stats
-        .iter()
-        .map(|s| s.mean_queue_len(SimTime::from(duration)))
-        .collect();
-    let run = RunResult {
-        metrics,
-        events,
-        busy,
-        mean_queue_len,
-        node_stats,
-        duration,
-        seed,
-        wall_secs,
+    let sink: Box<dyn TraceSink> = match user {
+        Some(user) => Box::new(FanoutSink::new(vec![Box::new(batcher), Box::new(user)])),
+        None => Box::new(batcher),
     };
+    let run = run_single_with_budget(cfg, seed, Some(sink), budget)?;
     let acc = Arc::try_unwrap(acc)
         .expect("batch closure dropped with the sink")
         .into_inner()
@@ -582,8 +439,8 @@ pub struct MultiRun {
 
 impl MultiRun {
     /// Assembles a run set from its parts: `runs` must be in replication
-    /// order (replication `i` seeded with [`derive_seed`]`(base, i)`) for
-    /// the determinism contract to hold. Used by the sweep engine to
+    /// order (replication `i` seeded with `derive_seed(base, i)`) for the
+    /// determinism contract to hold. Used by the sweep engine to
     /// recombine replications it scheduled itself, and by the result
     /// cache to reconstruct a deserialized run set.
     pub fn from_parts(runs: Vec<RunResult>, batch: Option<BatchEstimates>) -> MultiRun {

@@ -1,21 +1,34 @@
-//! Campaign-level scheduling of many data points over one worker pool.
+//! The replication engine: every simulation this crate runs is scheduled
+//! here, over one work-stealing worker pool.
 //!
 //! A paper reproduction is a *campaign*: dozens of points (configuration
 //! × base seed × stop rule), each several replications. Running points
-//! one [`Runner`] at a time puts a thread barrier between points — the
-//! tail of a slow point idles every other core. [`Sweep`] removes the
-//! barrier: it flattens all points into per-replication work units and
-//! schedules the units across a single work-stealing pool, so workers
-//! drain the whole campaign without ever waiting at a point boundary.
+//! one at a time puts a thread barrier between points — the tail of a
+//! slow point idles every other core. [`Sweep`] removes the barrier: it
+//! flattens all points into per-replication work units and schedules the
+//! units across a single work-stealing pool, so workers drain the whole
+//! campaign without ever waiting at a point boundary. A [`Runner`] is a
+//! one-point sweep.
+//!
+//! - A [`StopRule::FixedReps`]`(n)` point is `n` units.
+//! - A [`StopRule::CiWidth`] point runs in rounds: its first `min_reps`
+//!   units go out with the campaign's fixed units; after each round,
+//!   every unconverged adaptive point gets `(n / 2).max(2)` more units
+//!   (capped at `max_reps`), until none is left.
+//! - A [`StopRule::BatchMeans`] point is one unit: a single long run
+//!   whose miss indicators are cut into batches as they happen.
+//!
+//! Every unit runs under panic isolation and the optional event budget.
 //!
 //! # Determinism
 //!
 //! Replication `i` of a point with base seed `b` always simulates with
 //! `derive_seed(b, i)` regardless of which worker runs it or when, and
-//! results are reassembled per point by replication index. Every
-//! [`MultiRun`] this module returns is therefore **bit-identical** to
-//! what a sequential [`Runner`] produces — at any `jobs` level, pinned
-//! by the `sweep` integration test.
+//! results are reassembled per point by replication index. Round sizes
+//! depend only on the results so far, never on `jobs` or timing. Every
+//! [`MultiRun`] this module returns is therefore **bit-identical** at any
+//! `jobs` level, pinned against an independent sequential reference by
+//! the `sweep` integration test.
 //!
 //! # Deduplication and caching
 //!
@@ -24,14 +37,8 @@
 //! simulated once per sweep; duplicates share the result. With a
 //! [`PointCache`] attached, completed points are also memoized across
 //! sweeps — and, when the cache is disk-backed, across processes —
-//! making repeated reproductions incremental.
-//!
-//! # Limits
-//!
-//! Adaptive points ([`StopRule::CiWidth`], [`StopRule::BatchMeans`])
-//! run as one sequential unit each (their replication schedule is
-//! data-dependent), and tracing is not supported here — attach a sink
-//! to a single-point [`Runner`] instead.
+//! making repeated reproductions incremental. Tracing is not offered
+//! here; attach a sink to a single-point [`Runner`] instead.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -41,9 +48,13 @@ use sda_simcore::rng::derive_seed;
 
 use crate::cache::{canonical_point, point_key_of, PointCache};
 use crate::config::{ConfigError, SimConfig};
+#[cfg(doc)]
+use crate::runner::Runner;
 use crate::runner::{
-    run_single_with_budget, MultiRun, Runner, StopRule, DEFAULT_MAX_REPS, DEFAULT_MIN_REPS,
+    ci_converged, run_batch_means, run_single_with_budget, BatchEstimates, BudgetExceeded,
+    MultiRun, RunResult, StopRule, DEFAULT_MAX_REPS, DEFAULT_MIN_REPS,
 };
+use crate::trace::{SharedSink, TraceSink};
 
 /// One data point of a sweep: a configuration, the base seed its
 /// replication seeds derive from, and the stopping rule.
@@ -85,83 +96,53 @@ enum Plan {
 }
 
 /// One planned simulation task (a deduplicated point that missed the
-/// cache).
-struct Task {
-    cfg: SimConfig,
-    seed: u64,
-    stop: StopRule,
+/// cache) and the replications it has finished so far.
+struct Task<'a> {
+    point: &'a SweepPoint,
     /// Content address, for storing the result back into the cache.
     address: (String, String),
-    /// Number of work units this task was split into.
-    units: usize,
+    /// The most replications this task may run.
+    cap: usize,
+    /// Finished replications, in replication order.
+    runs: Vec<RunResult>,
+    batch: Option<BatchEstimates>,
+    /// The lowest failed replication; the task stops at its first failure.
+    failure: Option<(Unit, UnitError)>,
 }
 
-/// One schedulable unit of work.
-enum Unit {
-    /// A single fixed replication of a task.
-    Rep { task: usize, rep: usize, seed: u64 },
-    /// A whole adaptive point, run sequentially as one unit.
-    Whole { task: usize },
+/// One schedulable unit of work: a single replication of a task.
+#[derive(Clone, Copy)]
+struct Unit {
+    task: usize,
+    rep: usize,
+    seed: u64,
 }
 
-/// The result of one executed unit. The per-replication result is boxed
-/// so the variants are close in size (a `RunResult` carries the full
-/// per-node statistics block).
-enum Outcome {
-    Rep {
-        task: usize,
-        rep: usize,
-        result: Box<crate::runner::RunResult>,
-    },
-    Whole {
-        task: usize,
-        multi: MultiRun,
-    },
-    /// The unit died (panic) or was cut off (event budget); the error is
-    /// attributed to its task at reassembly.
-    Failed {
-        task: usize,
-        error: UnitError,
-    },
+/// The result of one executed unit. A finished replication is boxed
+/// because a `RunResult` carries the full per-node statistics block.
+struct Outcome {
+    unit: Unit,
+    result: Result<Box<(RunResult, Option<BatchEstimates>)>, UnitError>,
 }
 
-/// A per-unit failure, before it is attributed to a point index.
+/// Why a unit failed, before it is attributed to a point index.
 #[derive(Debug, Clone)]
 enum UnitError {
-    Panic {
-        rep: usize,
-        seed: u64,
-        message: String,
-    },
-    Budget {
-        rep: usize,
-        seed: u64,
-        events: u64,
-        budget: u64,
-    },
+    Panic(String),
+    Budget(BudgetExceeded),
 }
 
 impl UnitError {
-    fn rep(&self) -> usize {
+    fn at(self, point: usize, unit: Unit) -> RunError {
+        let Unit { rep, seed, .. } = unit;
         match self {
-            UnitError::Panic { rep, .. } | UnitError::Budget { rep, .. } => *rep,
-        }
-    }
-
-    fn at_point(&self, point: usize) -> RunError {
-        match self.clone() {
-            UnitError::Panic { rep, seed, message } => RunError::Panic {
+            UnitError::Panic(message) => RunError::Panic {
                 point,
                 rep,
                 seed,
                 message,
             },
-            UnitError::Budget {
-                rep,
-                seed,
-                events,
-                budget,
-            } => RunError::Budget {
+            UnitError::Budget(BudgetExceeded { events, budget }) => RunError::Budget {
                 point,
                 rep,
                 seed,
@@ -176,10 +157,7 @@ impl UnitError {
 /// [`Sweep::try_execute`], so one poisoned replication degrades that
 /// point instead of killing the whole campaign.
 ///
-/// `rep`/`seed` name the failing replication. For adaptive points
-/// ([`StopRule::CiWidth`], [`StopRule::BatchMeans`]) the whole point
-/// runs as one unit, so `rep` is 0 and `seed` is the point's *base*
-/// seed.
+/// `rep`/`seed` name the failing replication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The replication panicked; the panic payload is in `message`.
@@ -249,6 +227,12 @@ pub struct Sweep {
     min_reps: usize,
     max_reps: usize,
     event_budget: Option<u64>,
+    /// Explicit replication seeds replacing the derived stream of every
+    /// point; set only by a single-point [`Runner`] (`with_seeds`).
+    pub(crate) seed_list: Option<Vec<u64>>,
+    /// A sink observing replication 0 of every point; set only by a
+    /// single-point [`Runner`] (`trace`).
+    pub(crate) trace: Option<SharedSink>,
 }
 
 impl Default for Sweep {
@@ -267,6 +251,8 @@ impl Sweep {
             min_reps: DEFAULT_MIN_REPS,
             max_reps: DEFAULT_MAX_REPS,
             event_budget: None,
+            seed_list: None,
+            trace: None,
         }
     }
 
@@ -311,10 +297,10 @@ impl Sweep {
         self
     }
 
-    /// Arms a per-replication event-count watchdog: a fixed replication
-    /// that processes more than `budget` engine events is cut off and
-    /// its point fails with [`RunError::Budget`] instead of hanging the
-    /// campaign. Adaptive points run under panic isolation only.
+    /// Arms a per-replication event-count watchdog: a replication that
+    /// processes more than `budget` engine events is cut off and its
+    /// point fails with [`RunError::Budget`] instead of hanging the
+    /// campaign.
     ///
     /// Not part of the cache key — the budget cannot change the result
     /// of a replication that completes within it.
@@ -335,6 +321,44 @@ impl Sweep {
         jobs.min(units).max(1)
     }
 
+    /// The seed of replication `rep` of `point`.
+    fn seed_of(&self, point: &SweepPoint, rep: usize) -> u64 {
+        match &self.seed_list {
+            Some(list) => list[rep],
+            None => derive_seed(point.seed, rep as u64),
+        }
+    }
+
+    /// `want` replications, capped by the explicit seed list if any.
+    fn seed_budget(&self, want: usize) -> usize {
+        self.seed_list
+            .as_ref()
+            .map_or(want, |list| want.min(list.len()))
+    }
+
+    /// Checks a stop rule and returns its first-round replication count
+    /// and its replication cap.
+    fn schedule(&self, stop: StopRule) -> (usize, usize) {
+        let (first, cap) = match stop {
+            StopRule::FixedReps(n) => {
+                let n = self.seed_budget(n);
+                (n, n)
+            }
+            StopRule::CiWidth(target) => {
+                assert!(target > 0.0, "CI width target must be positive");
+                let floor = self.seed_budget(self.min_reps);
+                (floor, self.seed_budget(self.max_reps).max(floor))
+            }
+            StopRule::BatchMeans { batch_size } => {
+                assert!(batch_size > 0, "batch size must be positive");
+                let n = self.seed_budget(1);
+                (n, n)
+            }
+        };
+        assert!(first > 0, "need at least one replication");
+        (first, cap)
+    }
+
     /// Executes every point and returns their results in point order.
     ///
     /// # Errors
@@ -344,10 +368,10 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Panics if a point asks for zero replications
-    /// ([`StopRule::FixedReps`]`(0)`), or if any replication fails
-    /// (panics or blows the event budget) — use [`Sweep::try_execute`]
-    /// to degrade gracefully instead.
+    /// Panics before any simulation on an invalid stop rule (see
+    /// [`Sweep::try_execute`]), and if any replication fails (panics or
+    /// blows the event budget) — use [`Sweep::try_execute`] to degrade
+    /// gracefully instead.
     pub fn execute(&self) -> Result<Vec<MultiRun>, ConfigError> {
         Ok(self
             .try_execute()?
@@ -373,11 +397,14 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Panics if a point asks for zero replications
-    /// ([`StopRule::FixedReps`]`(0)`).
+    /// Panics before any simulation if a point asks for zero
+    /// replications ([`StopRule::FixedReps`]`(0)`), has a
+    /// [`StopRule::CiWidth`] target that is not positive (NaN included),
+    /// or a [`StopRule::BatchMeans`] batch size of 0.
     pub fn try_execute(&self) -> Result<Vec<Result<MultiRun, RunError>>, ConfigError> {
         for point in &self.points {
             point.cfg.validate()?;
+            self.schedule(point.stop);
         }
 
         // Resolve each point: cache hit, duplicate of an earlier point,
@@ -385,6 +412,7 @@ impl Sweep {
         // canonical content address the cache uses.
         let mut plans = Vec::with_capacity(self.points.len());
         let mut tasks: Vec<Task> = Vec::new();
+        let mut units: Vec<Unit> = Vec::new();
         let mut planned: HashMap<String, usize> = HashMap::new();
         for point in &self.points {
             let preimage = canonical_point(
@@ -408,98 +436,115 @@ impl Sweep {
                     continue;
                 }
             }
-            let units = match point.stop {
-                StopRule::FixedReps(n) => {
-                    assert!(n > 0, "need at least one replication");
-                    n
-                }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => 1,
-            };
+            // The first round holds every task's first replications.
+            let (first, cap) = self.schedule(point.stop);
+            units.extend(self.units(tasks.len(), point, 0, first));
             planned.insert(key.clone(), tasks.len());
             plans.push(Plan::Compute(tasks.len()));
             tasks.push(Task {
-                cfg: point.cfg.clone(),
-                seed: point.seed,
-                stop: point.stop,
+                point,
                 address: (key, preimage),
-                units,
+                cap,
+                runs: Vec::new(),
+                batch: None,
+                failure: None,
             });
         }
 
-        // Flatten tasks into units. Unit order is the submission order;
-        // it affects only which worker runs what, never the results.
-        let mut units = Vec::new();
-        for (index, task) in tasks.iter().enumerate() {
-            match task.stop {
-                StopRule::FixedReps(n) => {
-                    for rep in 0..n {
-                        units.push(Unit::Rep {
-                            task: index,
-                            rep,
-                            seed: derive_seed(task.seed, rep as u64),
-                        });
+        // Run in rounds: each round after the first holds the next
+        // replications of the adaptive tasks that have not converged.
+        // Unit order within a round affects only which worker runs what,
+        // never the results.
+        while !units.is_empty() {
+            let mut outcomes = self.run_units(&tasks, units);
+            // Outcomes arrive in worker-completion order; replication
+            // order keeps runs in sequence and makes the lowest failing
+            // replication the one reported, at any jobs level.
+            outcomes.sort_by_key(|o| (o.unit.task, o.unit.rep));
+            for Outcome { unit, result } in outcomes {
+                let task = &mut tasks[unit.task];
+                match result {
+                    Ok(done) => {
+                        let (run, batch) = *done;
+                        task.runs.push(run);
+                        task.batch = batch;
+                    }
+                    Err(error) => {
+                        task.failure.get_or_insert((unit, error));
                     }
                 }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => {
-                    units.push(Unit::Whole { task: index });
-                }
             }
+            units = tasks
+                .iter()
+                .enumerate()
+                .flat_map(|(index, task)| {
+                    let done = task.runs.len();
+                    let more = match task.point.stop {
+                        StopRule::CiWidth(target)
+                            if task.failure.is_none()
+                                && done < task.cap
+                                && !ci_converged(&task.runs, target) =>
+                        {
+                            (done / 2).max(2).min(task.cap - done)
+                        }
+                        _ => 0,
+                    };
+                    self.units(index, task.point, done, more)
+                })
+                .collect();
         }
 
-        let outcomes = self.run_units(&tasks, units);
-
-        // Reassemble per task by replication index.
-        let mut slots: Vec<Vec<Option<crate::runner::RunResult>>> =
-            tasks.iter().map(|t| vec![None; t.units]).collect();
-        let mut wholes: Vec<Option<MultiRun>> = tasks.iter().map(|_| None).collect();
-        let mut failures: Vec<Vec<UnitError>> = tasks.iter().map(|_| Vec::new()).collect();
-        for outcome in outcomes {
-            match outcome {
-                Outcome::Rep { task, rep, result } => slots[task][rep] = Some(*result),
-                Outcome::Whole { task, multi } => wholes[task] = Some(multi),
-                Outcome::Failed { task, error } => failures[task].push(error),
-            }
-        }
-        let mut computed: Vec<Result<MultiRun, UnitError>> = Vec::with_capacity(tasks.len());
-        for (index, task) in tasks.iter().enumerate() {
-            if !failures[index].is_empty() {
-                // Outcomes arrive in worker-completion order; report the
-                // lowest failing replication so the error is the same at
-                // any jobs level. The failed task is not cached.
-                failures[index].sort_by_key(UnitError::rep);
-                computed.push(Err(failures[index].remove(0)));
-                continue;
-            }
-            let multi = match task.stop {
-                StopRule::FixedReps(_) => {
-                    let runs = slots[index]
-                        .drain(..)
-                        .map(|slot| slot.expect("every replication ran"))
-                        .collect();
-                    MultiRun::from_parts(runs, None)
+        let mut computed: Vec<Option<Result<MultiRun, (Unit, UnitError)>>> = tasks
+            .into_iter()
+            .map(|task| {
+                if let Some(failure) = task.failure {
+                    // A failed task is not cached.
+                    return Some(Err(failure));
                 }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => {
-                    wholes[index].take().expect("adaptive point ran")
+                let multi = MultiRun::from_parts(task.runs, task.batch);
+                if let Some(cache) = &self.cache {
+                    cache.store(&task.address.0, &task.address.1, &multi);
                 }
-            };
-            if let Some(cache) = &self.cache {
-                cache.store(&task.address.0, &task.address.1, &multi);
-            }
-            computed.push(Ok(multi));
-        }
+                Some(Ok(multi))
+            })
+            .collect();
 
-        // Hand results back in point order.
-        Ok(plans
+        // Hand results back in point order. Walking the points backwards
+        // lets every duplicate clone the result before the first point
+        // of its task moves it out.
+        let mut results: Vec<Result<MultiRun, RunError>> = plans
             .into_iter()
             .enumerate()
-            .map(|(point, plan)| match plan {
-                Plan::Cached(multi) => Ok(multi),
-                Plan::Compute(task) | Plan::Shared(task) => match &computed[task] {
-                    Ok(multi) => Ok(multi.clone()),
-                    Err(error) => Err(error.at_point(point)),
-                },
+            .rev()
+            .map(|(point, plan)| {
+                let result = match plan {
+                    Plan::Cached(multi) => return Ok(multi),
+                    Plan::Shared(task) => computed[task].clone(),
+                    Plan::Compute(task) => computed[task].take(),
+                };
+                result
+                    .expect("each task resolves once")
+                    .map_err(|(unit, error)| error.at(point, unit))
             })
-            .collect())
+            .collect();
+        results.reverse();
+        Ok(results)
+    }
+
+    /// Units for replications `first..first + count` of task `task`,
+    /// which simulates `point`.
+    fn units<'s>(
+        &'s self,
+        task: usize,
+        point: &'s SweepPoint,
+        first: usize,
+        count: usize,
+    ) -> impl Iterator<Item = Unit> + 's {
+        (first..first + count).map(move |rep| Unit {
+            task,
+            rep,
+            seed: self.seed_of(point, rep),
+        })
     }
 
     /// Runs all units — inline when one worker suffices, otherwise on a
@@ -508,15 +553,15 @@ impl Sweep {
         let jobs = self.effective_jobs(units.len());
         if jobs <= 1 {
             return units
-                .iter()
-                .map(|unit| run_unit(tasks, unit, self))
+                .into_iter()
+                .map(|unit| self.run_unit(tasks, unit))
                 .collect();
         }
 
         // One deque per worker, units dealt round-robin. A worker pops
         // from the front of its own deque and steals from the back of
         // others'; since no unit ever enqueues more work, a full empty
-        // scan means the campaign is drained and the worker can exit.
+        // scan means the round is drained and the worker can exit.
         let total = units.len();
         let queues: Vec<Mutex<VecDeque<Unit>>> =
             (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -545,79 +590,43 @@ impl Sweep {
                         }
                     };
                     let Some(unit) = unit else { break };
-                    let outcome = run_unit(tasks, &unit, self);
+                    let outcome = self.run_unit(tasks, unit);
                     outcomes_ref.lock().expect("sweep outcomes").push(outcome);
                 });
             }
         });
         outcomes.into_inner().expect("sweep outcomes")
     }
-}
 
-/// Executes one unit. Configurations were validated up front, so
-/// simulation itself cannot fail — but the unit is isolated with
-/// [`std::panic::catch_unwind`] so a poisoned replication (a model bug,
-/// a fault-injection edge case) degrades into an [`Outcome::Failed`]
-/// instead of tearing down the worker pool.
-fn run_unit(tasks: &[Task], unit: &Unit, sweep: &Sweep) -> Outcome {
-    match *unit {
-        Unit::Rep { task, rep, seed } => {
-            let cfg = &tasks[task].cfg;
-            let budget = sweep.event_budget;
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_single_with_budget(cfg, seed, None, budget).expect("config validated")
-            }));
-            match caught {
-                Ok(Ok(result)) => Outcome::Rep {
-                    task,
-                    rep,
-                    result: Box::new(result),
-                },
-                Ok(Err(exceeded)) => Outcome::Failed {
-                    task,
-                    error: UnitError::Budget {
-                        rep,
-                        seed,
-                        events: exceeded.events,
-                        budget: exceeded.budget,
-                    },
-                },
-                Err(payload) => Outcome::Failed {
-                    task,
-                    error: UnitError::Panic {
-                        rep,
-                        seed,
-                        message: panic_message(payload.as_ref()),
-                    },
-                },
+    /// Executes one unit. Configurations were validated up front, so
+    /// simulation itself cannot fail — but the unit is isolated with
+    /// [`std::panic::catch_unwind`] so a poisoned replication (a model
+    /// bug, a fault-injection edge case) degrades into a failed outcome
+    /// instead of tearing down the worker pool.
+    fn run_unit(&self, tasks: &[Task], unit: Unit) -> Outcome {
+        let point = tasks[unit.task].point;
+        let trace = if unit.rep == 0 {
+            self.trace.clone()
+        } else {
+            None
+        };
+        let budget = self.event_budget;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match point.stop {
+            StopRule::BatchMeans { batch_size } => {
+                run_batch_means(&point.cfg, unit.seed, batch_size, trace, budget)
+                    .map(|(run, batch)| (run, Some(batch)))
             }
-        }
-        Unit::Whole { task } => {
-            let spec = &tasks[task];
-            // jobs(1): this worker IS the parallelism; nesting another
-            // pool inside a pool would oversubscribe the machine.
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Runner::new(spec.cfg.clone())
-                    .seed(spec.seed)
-                    .jobs(1)
-                    .stop(spec.stop)
-                    .min_reps(sweep.min_reps)
-                    .max_reps(sweep.max_reps)
-                    .execute()
-                    .expect("config validated")
-            }));
-            match caught {
-                Ok(multi) => Outcome::Whole { task, multi },
-                Err(payload) => Outcome::Failed {
-                    task,
-                    error: UnitError::Panic {
-                        rep: 0,
-                        seed: spec.seed,
-                        message: panic_message(payload.as_ref()),
-                    },
-                },
+            StopRule::FixedReps(_) | StopRule::CiWidth(_) => {
+                let sink = trace.map(|shared| Box::new(shared) as Box<dyn TraceSink>);
+                run_single_with_budget(&point.cfg, unit.seed, sink, budget).map(|run| (run, None))
             }
-        }
+        }));
+        let result = match caught {
+            Ok(Ok(done)) => Ok(Box::new(done)),
+            Ok(Err(exceeded)) => Err(UnitError::Budget(exceeded)),
+            Err(payload) => Err(UnitError::Panic(panic_message(payload.as_ref()))),
+        };
+        Outcome { unit, result }
     }
 }
 

@@ -1,8 +1,12 @@
 //! Runner tests: determinism across `jobs` levels, stopping rules,
 //! stats.json schema, and the trace threading of replication 0.
 
+mod reference;
+
+use reference::{fingerprint, reference};
+
 use sda_sim::trace::{CountingSink, RingBufferSink, SharedSink};
-use sda_sim::{seeds, Runner, SimConfig, Simulation, StopRule};
+use sda_sim::{seeds, Runner, SimConfig, Simulation, StopRule, SweepPoint};
 use sda_simcore::rng::{derive_seed, derive_seeds};
 use sda_simcore::{Engine, SimTime};
 
@@ -48,23 +52,19 @@ fn runner_rejects_invalid_config() {
 
 #[test]
 fn runner_is_deterministic_across_jobs() {
-    // The core guarantee: jobs=1 and jobs=8 are bit-identical.
-    let base = Runner::new(quick()).seed(42).stop(StopRule::FixedReps(4));
-    let serial = base.clone().jobs(1).execute().unwrap();
-    let parallel = base.clone().jobs(8).execute().unwrap();
-    assert_eq!(serial.runs().len(), parallel.runs().len());
-    for (a, b) in serial.runs().iter().zip(parallel.runs()) {
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.events, b.events);
-        assert_eq!(
-            a.metrics.md_local().to_bits(),
-            b.metrics.md_local().to_bits()
-        );
-        assert_eq!(
-            a.metrics.md_global().to_bits(),
-            b.metrics.md_global().to_bits()
-        );
-        assert_eq!(a.busy, b.busy);
+    // The core guarantee: jobs=1 and jobs=8 are bit-identical, and equal
+    // to the sequential reference.
+    for stop in [
+        StopRule::FixedReps(4),
+        StopRule::CiWidth(0.05),
+        StopRule::BatchMeans { batch_size: 200 },
+    ] {
+        let want = fingerprint(&reference(&SweepPoint::new(quick(), 42).stop(stop), 2, 8));
+        let base = Runner::new(quick()).seed(42).stop(stop).max_reps(8);
+        for jobs in [1, 8] {
+            let got = base.clone().jobs(jobs).execute().unwrap();
+            assert_eq!(want, fingerprint(&got), "{stop:?} at jobs={jobs}");
+        }
     }
 }
 

@@ -1,14 +1,19 @@
-//! The sweep engine's contract: results bit-identical to the sequential
-//! [`Runner`] at any `jobs` level, duplicates deduplicated, and the
-//! cache making repeat sweeps free.
+//! The sweep engine's contract: results bit-identical to an independent
+//! sequential reference at any `jobs` level, duplicates deduplicated,
+//! stop rules checked before any simulation, and the cache making repeat
+//! sweeps free.
+
+mod reference;
 
 use std::sync::Arc;
 
+use reference::{fingerprint, reference};
 use sda_core::SdaStrategy;
 use sda_sim::{
-    CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, Runner, SimConfig, StopRule, Sweep,
+    CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, SimConfig, StopRule, Sweep,
     SweepPoint,
 };
+use sda_simcore::rng::derive_seed;
 
 fn quick(load: f64) -> SimConfig {
     SimConfig {
@@ -18,60 +23,41 @@ fn quick(load: f64) -> SimConfig {
     }
 }
 
-/// A small campaign mixing fixed-rep points, strategies, and an
-/// adaptive point.
+/// A small campaign mixing fixed-rep points, strategies, and adaptive
+/// points.
 fn campaign() -> Vec<SweepPoint> {
-    let mut points = vec![
+    vec![
         SweepPoint::new(quick(0.3), 42),
         SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(3)),
         SweepPoint::new(quick(0.5).with_strategy(SdaStrategy::ud_div1()), 42),
         SweepPoint::new(quick(0.7), 42).stop(StopRule::CiWidth(0.9)),
-    ];
-    points.push(SweepPoint::new(quick(0.7), 42).stop(StopRule::BatchMeans { batch_size: 128 }));
-    points
-}
-
-/// Every float in the report, bit-for-bit.
-fn fingerprint(multi: &MultiRun) -> String {
-    let mut out = multi.stats().to_json();
-    for run in multi.runs() {
-        out.push_str(&format!("\nseed={} events={}", run.seed, run.events));
-        for (field, value) in [
-            ("md_global", run.metrics.md_global()),
-            ("md_local", run.metrics.md_local()),
-            ("missed_work", run.metrics.missed_work.fraction()),
-            ("q99", run.metrics.global_response_quantile(0.99)),
-        ] {
-            out.push_str(&format!(" {field}={:016x}", value.to_bits()));
-        }
-    }
-    out
+        SweepPoint::new(quick(0.7), 42).stop(StopRule::BatchMeans { batch_size: 128 }),
+        SweepPoint::new(quick(0.6), 7).stop(StopRule::CiWidth(0.05)),
+    ]
 }
 
 #[test]
-fn sweep_matches_sequential_runner_at_any_jobs_level() {
-    let sequential: Vec<MultiRun> = campaign()
-        .into_iter()
-        .map(|p| {
-            Runner::new(p.cfg)
-                .seed(p.seed)
-                .jobs(1)
-                .stop(p.stop)
-                .execute()
-                .unwrap()
-        })
+fn sweep_matches_the_sequential_reference_at_any_jobs_level() {
+    let expected: Vec<String> = campaign()
+        .iter()
+        .map(|p| fingerprint(&reference(p, 2, 64)))
         .collect();
+    // The tight target needs several CI rounds; the loose one stops at
+    // the floor.
+    let reps = |multi: &MultiRun| multi.runs().len();
     for jobs in [1, 4] {
         let swept = Sweep::new()
             .points(campaign())
             .jobs(jobs)
             .execute()
             .unwrap();
-        assert_eq!(swept.len(), sequential.len());
-        for (point, (a, b)) in sequential.iter().zip(&swept).enumerate() {
+        assert_eq!(swept.len(), expected.len());
+        assert_eq!(reps(&swept[3]), 2);
+        assert!(reps(&swept[5]) > 4, "{} reps", reps(&swept[5]));
+        for (point, (want, got)) in expected.iter().zip(&swept).enumerate() {
             assert_eq!(
-                fingerprint(a),
-                fingerprint(b),
+                want,
+                &fingerprint(got),
                 "point {point} diverged at jobs={jobs}"
             );
         }
@@ -215,52 +201,68 @@ fn faulty_sweeps_are_jobs_invariant_and_cache_replayable() {
 
 #[test]
 fn a_panicking_replication_fails_its_point_and_spares_the_others() {
-    // An exotic base seed no other test uses: the armed panic seed is
-    // process-global, and sibling tests run concurrently.
+    // Exotic base seeds no other test uses: the armed panic seed is
+    // process-global, and sibling tests run concurrently. The fixed
+    // point fails at rep 1; the adaptive point (an unreachable target)
+    // fails at rep 3, which only its second CI round runs.
     let base = 0x00AD_BEEF_FA17_0001;
-    let armed = sda_sim::seeds(base, 2)[1];
-    sda_sim::runner::test_hooks::panic_on_seed(armed);
+    let adaptive = 0x00AD_BEEF_FA17_0002;
+    let armed = derive_seed(base, 1);
+    let late = derive_seed(adaptive, 3);
     let points = vec![
         SweepPoint::new(quick(0.3), 42),
         SweepPoint::new(quick(0.45), base),
         SweepPoint::new(quick(0.6), 42),
+        SweepPoint::new(quick(0.45), adaptive).stop(StopRule::CiWidth(1e-9)),
     ];
-    let results = Sweep::new()
-        .points(points.clone())
-        .jobs(4)
-        .try_execute()
-        .unwrap();
-    sda_sim::runner::test_hooks::clear();
-    assert_eq!(results.len(), 3, "every point reports, pass or fail");
-    let error = results[1].as_ref().expect_err("armed point must fail");
-    match error {
-        RunError::Panic {
-            point,
-            rep,
-            seed,
-            message,
-        } => {
-            assert_eq!((*point, *rep, *seed), (1, 1, armed));
-            assert!(message.contains("injected panic"), "{message}");
-        }
-        other => panic!("expected a panic error, got {other}"),
-    }
-    let shown = error.to_string();
-    assert!(
-        shown.contains("point 1") && shown.contains("rep 1"),
-        "{shown}"
-    );
-    // The sibling points completed normally, bit-identical to a clean
-    // sequential run.
-    for index in [0, 2] {
-        let clean = Runner::new(points[index].cfg.clone())
-            .seed(points[index].seed)
-            .jobs(1)
-            .stop(points[index].stop)
-            .execute()
+    for jobs in [1, 4] {
+        sda_sim::runner::test_hooks::panic_on_seed(armed);
+        let fixed = Sweep::new()
+            .points(points[..3].to_vec())
+            .jobs(jobs)
+            .try_execute()
             .unwrap();
-        let survived = results[index].as_ref().expect("sibling completes");
-        assert_eq!(fingerprint(&clean), fingerprint(survived));
+        sda_sim::runner::test_hooks::panic_on_seed(late);
+        let adaptive_result = Sweep::new()
+            .points(points.clone())
+            .jobs(jobs)
+            .try_execute()
+            .unwrap();
+        sda_sim::runner::test_hooks::clear();
+        assert_eq!(fixed.len(), 3, "every point reports, pass or fail");
+        let error = fixed[1].as_ref().expect_err("armed point must fail");
+        match error {
+            RunError::Panic {
+                point,
+                rep,
+                seed,
+                message,
+            } => {
+                assert_eq!((*point, *rep, *seed), (1, 1, armed));
+                assert!(message.contains("injected panic"), "{message}");
+            }
+            other => panic!("expected a panic error, got {other}"),
+        }
+        let shown = error.to_string();
+        assert!(
+            shown.contains("point 1") && shown.contains("rep 1"),
+            "{shown}"
+        );
+        match adaptive_result[3].as_ref().expect_err("late rep must fail") {
+            RunError::Panic {
+                point, rep, seed, ..
+            } => assert_eq!((*point, *rep, *seed), (3, 3, late), "jobs={jobs}"),
+            other => panic!("expected a panic error, got {other}"),
+        }
+        // The sibling points completed normally, bit-identical to the
+        // sequential reference.
+        for index in [0, 2] {
+            let want = fingerprint(&reference(&points[index], 2, 64));
+            for results in [&fixed, &adaptive_result] {
+                let survived = results[index].as_ref().expect("sibling completes");
+                assert_eq!(want, fingerprint(survived), "jobs={jobs}");
+            }
+        }
     }
     // The strict entry point turns the structured error into a panic.
     sda_sim::runner::test_hooks::panic_on_seed(armed);
@@ -280,6 +282,8 @@ fn an_event_budget_fails_runaway_points_deterministically() {
         .points(vec![
             SweepPoint::new(quick(0.5), 42),
             SweepPoint::new(quick(0.5).with_load(0.8), 42),
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth(0.05)),
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::BatchMeans { batch_size: 100 }),
         ])
         .jobs(2)
         .event_budget(500)
@@ -290,11 +294,12 @@ fn an_event_budget_fails_runaway_points_deterministically() {
             RunError::Budget {
                 point,
                 rep,
+                seed,
                 events,
                 budget,
-                ..
             } => {
                 assert_eq!((*point, *rep), (index, 0), "lowest rep reports");
+                assert_eq!(*seed, derive_seed(42, 0));
                 assert!(*events > 500 && *budget == 500);
             }
             other => panic!("expected a budget error, got {other}"),
@@ -302,15 +307,49 @@ fn an_event_budget_fails_runaway_points_deterministically() {
     }
     // A generous budget changes nothing about the results.
     let roomy = Sweep::new()
-        .points(vec![SweepPoint::new(quick(0.5), 42)])
+        .points(campaign())
         .jobs(1)
         .event_budget(10_000_000)
         .execute()
         .unwrap();
-    let unbudgeted = Sweep::new()
-        .points(vec![SweepPoint::new(quick(0.5), 42)])
-        .jobs(1)
-        .execute()
-        .unwrap();
-    assert_eq!(fingerprint(&roomy[0]), fingerprint(&unbudgeted[0]));
+    for (point, multi) in campaign().iter().zip(&roomy) {
+        assert_eq!(fingerprint(&reference(point, 2, 64)), fingerprint(multi));
+    }
+}
+
+#[test]
+fn invalid_stop_rules_are_rejected_before_any_simulation() {
+    for (stop, message) in [
+        (StopRule::FixedReps(0), "need at least one replication"),
+        (StopRule::CiWidth(0.0), "CI width target must be positive"),
+        (StopRule::CiWidth(-0.1), "CI width target must be positive"),
+        (
+            StopRule::CiWidth(f64::NAN),
+            "CI width target must be positive",
+        ),
+        (
+            StopRule::BatchMeans { batch_size: 0 },
+            "batch size must be positive",
+        ),
+    ] {
+        // A valid point ahead of the bad one would be simulated first if
+        // stop rules were checked only when their units run; instead the
+        // planning pass panics and try_execute never returns.
+        let outcome = std::panic::catch_unwind(|| {
+            Sweep::new()
+                .points(vec![
+                    SweepPoint::new(quick(0.3), 42),
+                    SweepPoint::new(quick(0.3), 42).stop(stop),
+                ])
+                .jobs(2)
+                .try_execute()
+        });
+        let payload = outcome.expect_err("an invalid stop rule panics");
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(text.contains(message), "{stop:?}: {text:?}");
+    }
 }
