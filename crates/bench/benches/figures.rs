@@ -1,7 +1,7 @@
 //! Macro-benchmarks: regenerate every figure of the paper at Quick scale.
 //!
-//! Each bench calls the same `sda_experiments::figures` function the
-//! corresponding binary uses, so `cargo bench --bench figures` is a timed
+//! Each bench calls the same `sda_experiments::figures` function
+//! `repro --only figN` uses, so `cargo bench --bench figures` is a timed
 //! end-to-end regeneration of the paper's evaluation (at 2 × 20k time
 //! units per point instead of the paper's 2 × 1M).
 

@@ -6,7 +6,7 @@
 //!   simulation substrate — event calendar churn, EDF queue operations,
 //!   deadline-assignment arithmetic, SDA decomposition walks;
 //! * **macro** (`figures`, `tables`): per-figure regeneration benches that
-//!   run the same harness code as the `sda-experiments` binaries at
+//!   run the same harness functions as `repro` at
 //!   [`sda_experiments::Scale::Quick`], so `cargo bench` literally
 //!   regenerates every table and figure (at reduced scale) while timing it.
 //!

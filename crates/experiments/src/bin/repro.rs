@@ -1,16 +1,19 @@
-//! Umbrella reproduction: runs every table, figure, checkpoint, ablation,
-//! and extension, printing a full report.
+//! The reproduction: runs every table, figure, checkpoint, ablation,
+//! extension, and claim check (or the ones `--only` names), printing a
+//! report.
 //!
-//! Usage: `repro [--scale quick|default|paper] [--out DIR]
-//! [--cache-dir DIR | --no-cache]`
+//! Usage: `repro [--scale quick|default|paper] [--only NAME[,NAME...]]
+//! [--plot] [--out DIR] [--cache-dir DIR | --no-cache]`
 //!
-//! With `--out DIR`, each artifact is also written to `DIR/<name>.csv`.
-//! With `--cache-dir DIR`, completed sweep points are memoized on disk,
-//! making repeated reproductions incremental.
+//! With `--plot`, each figure is followed by an ASCII chart of its
+//! curves. With `--out DIR`, each artifact is also written to
+//! `DIR/<name>.csv`. With `--cache-dir DIR`, completed sweep points are
+//! memoized on disk, making repeated reproductions incremental. The exit
+//! status is 1 if a rendered claim check fails, 2 on a usage error.
 
 use std::process::ExitCode;
 
-use sda_experiments::repro;
+use sda_experiments::repro::{self, Artifact};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,10 +21,7 @@ fn main() -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("repro: {message}");
-            eprintln!(
-                "usage: repro [--scale quick|default|paper] [--out DIR] \
-                 [--cache-dir DIR | --no-cache]"
-            );
+            eprintln!("{}", repro::usage());
             return ExitCode::from(2);
         }
     };
@@ -31,19 +31,39 @@ fn main() -> ExitCode {
     }
 
     println!("# SDA reproduction report (scale: {})\n", options.scale);
-    let artifacts = repro::artifacts(options.scale);
-    for (_, table) in &artifacts {
+    let mut claims_fail = false;
+    let mut tables = Vec::new();
+    for (name, artifact) in repro::render(options.scale, &options.only) {
+        let plot = match &artifact {
+            Artifact::Figure(figure, x_label) if options.plot => Some(figure.plot(name, x_label)),
+            Artifact::Claims(results) => {
+                let held = results.iter().filter(|r| r.pass).count();
+                eprintln!("{held} / {} claims hold at this scale", results.len());
+                claims_fail = held < results.len();
+                None
+            }
+            _ => None,
+        };
+        let table = artifact.into_table();
         println!("{table}");
+        if let Some(plot) = plot {
+            println!("{plot}");
+        }
+        tables.push((name, table));
     }
     if let Some(dir) = &options.out {
-        if let Err(message) = repro::write_csvs(dir, &artifacts) {
+        if let Err(message) = repro::write_csvs(dir, &tables) {
             eprintln!("repro: {message}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {} CSV files to {}", artifacts.len(), dir.display());
+        eprintln!("wrote {} CSV files to {}", tables.len(), dir.display());
     }
     if let Some(summary) = repro::cache_summary() {
         eprintln!("{summary}");
     }
-    ExitCode::SUCCESS
+    if claims_fail {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
