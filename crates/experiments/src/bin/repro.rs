@@ -8,12 +8,15 @@
 //! With `--plot`, each figure is followed by an ASCII chart of its
 //! curves. With `--out DIR`, each artifact is also written to
 //! `DIR/<name>.csv`. With `--cache-dir DIR`, completed sweep points are
-//! memoized on disk, making repeated reproductions incremental. The exit
-//! status is 1 if a rendered claim check fails, 2 on a usage error.
+//! memoized on disk, making repeated reproductions incremental.
+//! `SDA_JOBS` sets the worker count (unset or empty: all cores). The
+//! exit status is 1 if a rendered claim check fails, 2 on a usage error
+//! or an invalid `SDA_JOBS`.
 
 use std::process::ExitCode;
 
 use sda_experiments::repro::{self, Artifact};
+use sda_experiments::run;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,6 +28,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(message) = run::env_jobs() {
+        eprintln!("repro: {message}");
+        return ExitCode::from(2);
+    }
     if let Err(e) = repro::install_exec(&options) {
         eprintln!("repro: setting up the result cache: {e}");
         return ExitCode::from(2);

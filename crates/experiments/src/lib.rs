@@ -4,7 +4,7 @@
 //! 1994), plus the in-text numeric checkpoints, the ablations and
 //! extensions listed in `DESIGN.md`, and the executable claims. Each
 //! function runs the simulator at a chosen [`Scale`] and returns both the
-//! raw series (for tests and benches) and a rendered [`Table`] matching
+//! raw series (for tests and perfbench) and a rendered [`Table`] matching
 //! the rows/series the paper plots.
 //!
 //! The `repro` binary renders all of them through one registry

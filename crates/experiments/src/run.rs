@@ -19,31 +19,52 @@
 //! identical cache keys, so the sweep engine simulates each unique point
 //! exactly once per campaign.
 //!
-//! # Choosing an execution mode
+//! # Choosing an execution context
 //!
-//! The process-wide mode is installed once (by `repro` or the CLI) with
-//! [`install`]; everything after that call uses it. Tests that need a
-//! specific mode run under the scoped [`with_exec`] override instead.
+//! The process-wide context is installed once (by `repro` or the CLI)
+//! with [`install`]; everything after that call uses it. Tests that need
+//! a specific context run under the scoped [`with_exec`] override
+//! instead.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use sda_sim::{CacheReport, MultiRun, PointCache, Runner, SimConfig, StopRule, Sweep, SweepPoint};
+use sda_sim::{CacheReport, MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
 
 /// The single base seed shared by the whole campaign (see the
 /// [module docs](self)).
 pub const CAMPAIGN_SEED: u64 = 42;
 
-/// Worker threads: the `SDA_JOBS` environment variable, or `0`
-/// (automatic — the machine's available parallelism). Parsed once per
-/// process.
+/// Parses a value of `SDA_JOBS` (`None` when unset); see [`env_jobs`].
+fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None | Some("") => Ok(0),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("SDA_JOBS: invalid value {v:?}")),
+    }
+}
+
+/// The worker count the `SDA_JOBS` environment variable asks for. Unset
+/// or empty means `0` (automatic — the machine's available parallelism).
+///
+/// # Errors
+///
+/// Returns `SDA_JOBS: invalid value "…"` when the variable is set to
+/// anything but a non-negative integer.
+pub fn env_jobs() -> Result<usize, String> {
+    let value = std::env::var_os("SDA_JOBS").map(|v| v.to_string_lossy().into_owned());
+    parse_jobs(value.as_deref())
+}
+
+/// Worker threads: [`env_jobs`], read once per process.
+///
+/// # Panics
+///
+/// Panics if `SDA_JOBS` is set to an invalid value; front ends check
+/// [`env_jobs`] first and report the error instead.
 pub fn jobs() -> usize {
     static JOBS: OnceLock<usize> = OnceLock::new();
-    *JOBS.get_or_init(|| {
-        std::env::var("SDA_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
+    *JOBS.get_or_init(|| env_jobs().unwrap_or_else(|message| panic!("{message}")))
 }
 
 /// One experiment data point: a configuration, its base seed, and a
@@ -69,23 +90,10 @@ impl Point {
     }
 }
 
-/// How experiment points are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The sweep engine: one work-stealing pool over all replications of
-    /// all points, with point-level memoization.
-    Sweep,
-    /// The pre-engine behavior — one [`Runner`] per point, a thread
-    /// barrier between points, no memoization. Kept as the comparison
-    /// baseline for the sweep benchmark.
-    Baseline,
-}
-
-/// An execution context for experiment sweeps: a mode, a worker count,
-/// and (in sweep mode) the cache shared by every sweep in the campaign.
+/// An execution context for experiment sweeps: the sweep engine's worker
+/// count and the cache, if any, shared by every sweep in the campaign.
 #[derive(Debug, Clone)]
 pub struct Exec {
-    mode: Mode,
     jobs: usize,
     cache: Option<Arc<PointCache>>,
 }
@@ -96,7 +104,6 @@ impl Exec {
     /// process.
     pub fn sweep() -> Exec {
         Exec {
-            mode: Mode::Sweep,
             jobs: jobs(),
             cache: Some(Arc::new(PointCache::in_memory())),
         }
@@ -110,7 +117,6 @@ impl Exec {
     /// Returns the error from creating the directory.
     pub fn sweep_with_dir(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Exec> {
         Ok(Exec {
-            mode: Mode::Sweep,
             jobs: jobs(),
             cache: Some(Arc::new(PointCache::with_dir(dir)?)),
         })
@@ -121,18 +127,6 @@ impl Exec {
     /// [`run_points`] call are still deduplicated by the engine.
     pub fn sweep_uncached() -> Exec {
         Exec {
-            mode: Mode::Sweep,
-            jobs: jobs(),
-            cache: None,
-        }
-    }
-
-    /// The sequential per-point baseline: every point runs its own
-    /// `Runner` loop with no sharing between points — the pre-engine
-    /// execution model, kept as the benchmark comparison target.
-    pub fn baseline() -> Exec {
-        Exec {
-            mode: Mode::Baseline,
             jobs: jobs(),
             cache: None,
         }
@@ -149,35 +143,19 @@ impl Exec {
         self.cache.as_ref().map(|c| c.report())
     }
 
-    /// Executes a batch of points and returns their results in order.
+    /// Executes a batch of points on one sweep and returns their results
+    /// in order.
     fn run(&self, points: &[Point]) -> Vec<MultiRun> {
-        match self.mode {
-            Mode::Sweep => {
-                let mut sweep = Sweep::new().jobs(self.jobs).points(
-                    points
-                        .iter()
-                        .map(|p| {
-                            SweepPoint::new(p.cfg.clone(), p.seed).stop(StopRule::FixedReps(p.reps))
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                if let Some(cache) = &self.cache {
-                    sweep = sweep.cache(Arc::clone(cache));
-                }
-                sweep.execute().expect("experiment configuration validates")
-            }
-            Mode::Baseline => points
+        let mut sweep = Sweep::new().jobs(self.jobs).points(
+            points
                 .iter()
-                .map(|p| {
-                    Runner::new(p.cfg.clone())
-                        .seed(p.seed)
-                        .jobs(self.jobs)
-                        .stop(StopRule::FixedReps(p.reps))
-                        .execute()
-                        .expect("experiment configuration validates")
-                })
-                .collect(),
+                .map(|p| SweepPoint::new(p.cfg.clone(), p.seed).stop(StopRule::FixedReps(p.reps)))
+                .collect::<Vec<_>>(),
+        );
+        if let Some(cache) = &self.cache {
+            sweep = sweep.cache(Arc::clone(cache));
         }
+        sweep.execute().expect("experiment configuration validates")
     }
 }
 
@@ -198,7 +176,7 @@ pub fn install(exec: Exec) {
 }
 
 /// Runs `f` with `exec` as this thread's execution context, restoring
-/// the previous context afterwards. For tests that must pin a mode
+/// the previous context afterwards. For tests that must pin a context
 /// without touching process state.
 pub fn with_exec<T>(exec: Exec, f: impl FnOnce() -> T) -> T {
     OVERRIDE.with(|stack| stack.lock().expect("exec override").push(exec));
@@ -275,6 +253,28 @@ mod tests {
     }
 
     #[test]
+    fn parse_jobs_accepts_counts_and_rejects_everything_else() {
+        for (value, expected) in [
+            (None, Ok(0)),
+            (Some(""), Ok(0)),
+            (Some("0"), Ok(0)),
+            (Some("1"), Ok(1)),
+            (Some("16"), Ok(16)),
+            (Some("abc"), Err(r#"SDA_JOBS: invalid value "abc""#)),
+            (Some("-1"), Err(r#"SDA_JOBS: invalid value "-1""#)),
+            (Some("2x"), Err(r#"SDA_JOBS: invalid value "2x""#)),
+            (Some(" 4"), Err(r#"SDA_JOBS: invalid value " 4""#)),
+            (Some("1.5"), Err(r#"SDA_JOBS: invalid value "1.5""#)),
+        ] {
+            assert_eq!(
+                parse_jobs(value),
+                expected.map_err(str::to_string),
+                "SDA_JOBS={value:?}"
+            );
+        }
+    }
+
+    #[test]
     fn run_point_uses_the_derived_seed_stream() {
         let multi = run_point(&quick(), 42, 2);
         assert_eq!(multi.runs().len(), 2);
@@ -286,14 +286,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_baseline_modes_agree_bit_for_bit() {
+    fn batched_and_single_point_runs_agree_bit_for_bit() {
         let points = [
             Point::new(quick(), 2),
             Point::new(quick().with_load(0.7), 2),
         ];
-        let swept = with_exec(Exec::sweep().with_jobs(3), || run_points(&points));
-        let sequential = with_exec(Exec::baseline().with_jobs(1), || run_points(&points));
-        for (a, b) in swept.iter().zip(&sequential) {
+        let batched = with_exec(Exec::sweep().with_jobs(3), || run_points(&points));
+        let alone: Vec<MultiRun> = with_exec(Exec::sweep_uncached().with_jobs(1), || {
+            points
+                .iter()
+                .map(|p| run_point(&p.cfg, p.seed, p.reps))
+                .collect()
+        });
+        assert_eq!(batched.len(), alone.len());
+        for (a, b) in batched.iter().zip(&alone) {
             assert_eq!(a.stats().to_json(), b.stats().to_json());
             for (x, y) in a.runs().iter().zip(b.runs()) {
                 assert_eq!(
@@ -309,14 +315,14 @@ mod tests {
         let report = with_exec(Exec::sweep().with_jobs(1), || {
             run_point(&quick(), 7, 2);
             run_point(&quick(), 7, 2);
-            cache_report().expect("sweep mode has a cache")
+            cache_report().expect("the default context has a cache")
         });
         assert_eq!(report.misses, 1);
         assert_eq!(
             report.hits_memory, 1,
             "second identical point is a memory hit"
         );
-        // Outside the scope, baseline mode has no cache.
-        assert_eq!(with_exec(Exec::baseline(), cache_report), None);
+        // Outside the scope, the uncached context has no cache.
+        assert_eq!(with_exec(Exec::sweep_uncached(), cache_report), None);
     }
 }

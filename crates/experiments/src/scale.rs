@@ -9,7 +9,7 @@ use std::fmt;
 /// time with no other change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// 2 × 20,000 time units — smoke-test sized (benches, CI).
+    /// 2 × 20,000 time units — smoke-test sized (tests, CI, perfbench).
     Quick,
     /// 2 × 200,000 time units — tight enough to see every paper effect.
     Default,

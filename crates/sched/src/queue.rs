@@ -283,8 +283,8 @@ impl<T> ReadyQueue<T> {
     /// `mem::take(..).into_vec()` / `retain` / `.into()` (heapify), all
     /// of which reuse the allocation. After the warmup transient grows
     /// the containers to their high-water marks, `settle` runs
-    /// allocation-free — asserted end to end by the `steady_state_alloc`
-    /// test in `sda-bench`.
+    /// allocation-free — asserted end to end by `sda-sim`'s
+    /// `steady_state_alloc` test.
     fn settle(&mut self) {
         match self.policy {
             Policy::Fcfs => {
