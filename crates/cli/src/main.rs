@@ -9,11 +9,14 @@
 //!     Run the same workload under several strategies (common random
 //!     numbers) and print a side-by-side miss-rate table.
 //!
-//! Shared options: --seed N, --reps N, --jobs N (worker threads,
-//! 0 = auto), --ci-target R (adaptive stopping on the 95% CI width
-//! ratio; --reps becomes the floor, --max-reps the cap),
-//! --stats-out PATH (write per-metric statistics as stats.json), and
-//! --cache-dir DIR / --no-cache (memoize completed points on disk).
+//! sda sweep key=LO..HI:STEP [CONFIG] [key=value ...] [OPTIONS]
+//!     Run one point per value of `key` and print a miss-rate row each.
+//!
+//! Options (run/compare/sweep): --seed N, --reps N, --jobs N (worker
+//! threads, 0 = auto), --ci-target R (adaptive stopping on the 95% CI
+//! width ratio; --reps becomes the floor, --max-reps the cap),
+//! --stats-out PATH (write per-metric statistics as stats.json),
+//! --throughput, and --cache-dir DIR (memoize completed points on disk).
 //! `run` additionally takes --trace-out PATH: write replication 0's
 //! structured event trace as JSONL, byte-identical at any --jobs level.
 //!
@@ -21,16 +24,28 @@
 //!     Decompose an end-to-end deadline over a serial-parallel task
 //!     graph (bracket notation) and print each stage's virtual deadline.
 //!
+//! sda repro [--scale quick|default|paper] [--only NAME[,NAME...]]
+//!           [--plot] [--out DIR] [--jobs N] [--cache-dir DIR]
+//!     Reproduce the paper's tables, figures and claims (or the ones
+//!     --only names). --plot draws each figure as an ASCII chart, --out
+//!     writes DIR/<name>.csv per artifact. Exits 1 if a claim fails.
+//!
 //! sda help [config]
 //! ```
+//!
+//! Each command accepts only its own flags. Worker threads come from
+//! `--jobs N`, else the `SDA_JOBS` environment variable, else all cores.
+//! Usage errors print `error: …` and exit 2.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
 use std::sync::Arc;
 
 use sda_cli::{apply_setting, load_config, parse_strategy, render_report};
 use sda_core::Decomposition;
+use sda_experiments::repro::{self, Artifact, REGISTRY};
+use sda_experiments::run::{self, Exec};
+use sda_experiments::Scale;
 use sda_model::parse_spec;
 use sda_sim::trace::{JsonlSink, SharedSink};
 use sda_sim::{MultiRun, PointCache, Runner, SimConfig, StopRule, Sweep, SweepPoint};
@@ -38,37 +53,79 @@ use sda_simcore::SimTime;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("decompose") => cmd_decompose(&args[1..]),
-        Some("help") | None => {
-            print_help(args.get(1).map(String::as_str));
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?} (try `sda help`)")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    match dispatch(&args) {
+        Ok(code) => code,
         Err(message) => {
             eprintln!("error: {message}");
-            // Exit 2 for usage/configuration errors, matching `repro`:
-            // every error path here names a flag, key, or argument.
+            // Every error path here names a flag, key, or argument.
             ExitCode::from(2)
         }
     }
 }
 
-/// The replication options shared by `run`, `compare`, and `sweep`.
+fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+    let Some((command, rest)) = args.split_first() else {
+        print_help(None);
+        return Ok(ExitCode::SUCCESS);
+    };
+    if command == "help" {
+        print_help(rest.first().map(String::as_str));
+        return Ok(ExitCode::SUCCESS);
+    }
+    let (positional, opts) = parse(command, rest)?;
+    match command.as_str() {
+        "run" => cmd_run(&positional, &opts)?,
+        "compare" => cmd_compare(&positional, &opts)?,
+        "sweep" => cmd_sweep(&positional, &opts)?,
+        "decompose" => cmd_decompose(&positional, &opts)?,
+        "repro" => return cmd_repro(&opts),
+        _ => unreachable!("parse rejects unknown commands"),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The flags each command accepts; `None` for an unknown command.
+fn flags(command: &str) -> Option<&'static [&'static str]> {
+    const SIMULATE: [&str; 9] = [
+        "--seed",
+        "--reps",
+        "--jobs",
+        "--cache-dir",
+        "--ci-target",
+        "--max-reps",
+        "--stats-out",
+        "--throughput",
+        "--trace-out",
+    ];
+    Some(match command {
+        "run" => &SIMULATE,
+        "compare" | "sweep" => &SIMULATE[..8],
+        "decompose" => &["--pex"],
+        "repro" => &[
+            "--jobs",
+            "--cache-dir",
+            "--scale",
+            "--only",
+            "--plot",
+            "--out",
+        ],
+        _ => return None,
+    })
+}
+
+/// Every command's options; each command reads the fields of the flags
+/// it accepts.
 #[derive(Debug, Clone)]
-struct RunOptions {
+struct Options {
     /// Base seed of the derived replication-seed stream.
     seed: u64,
     /// Replications per point (the floor when `--ci-target` is set).
     reps: usize,
-    /// Worker threads (0 = the machine's parallelism).
-    jobs: usize,
+    /// `--jobs N`, if given; see [`Options::jobs`].
+    jobs: Option<usize>,
+    /// On-disk result cache directory; completed points are memoized
+    /// there and replayed on later invocations.
+    cache_dir: Option<PathBuf>,
     /// Adaptive stopping: target 95% CI width ratio.
     ci_target: Option<f64>,
     /// Replication cap under `--ci-target`.
@@ -80,12 +137,145 @@ struct RunOptions {
     throughput: bool,
     /// Where to write the replication-0 JSONL trace, if anywhere.
     trace_out: Option<String>,
-    /// On-disk result cache directory; completed points are memoized
-    /// there and replayed on later invocations.
-    cache_dir: Option<String>,
+    /// `decompose`'s predicted execution times, comma-separated.
+    pex: Option<String>,
+    /// `repro`'s experiment scale.
+    scale: Scale,
+    /// The artifacts `repro` renders, in registry order without repeats;
+    /// empty renders every artifact.
+    only: Vec<&'static str>,
+    /// Print an ASCII chart after each figure.
+    plot: bool,
+    /// Directory `repro` writes per-artifact CSVs into.
+    out: Option<PathBuf>,
 }
 
-impl RunOptions {
+impl Default for Options {
+    fn default() -> Options {
+        Options {
+            seed: 42,
+            reps: 2,
+            jobs: None,
+            cache_dir: None,
+            ci_target: None,
+            max_reps: 64,
+            stats_out: None,
+            throughput: false,
+            trace_out: None,
+            pex: None,
+            scale: Scale::Default,
+            only: Vec::new(),
+            plot: false,
+            out: None,
+        }
+    }
+}
+
+/// Parses a flag's value, naming the flag on failure.
+fn value<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("bad {flag} value {text:?}"))
+}
+
+/// Parses a count that must be at least 1.
+fn count(flag: &str, text: &str) -> Result<usize, String> {
+    match value(flag, text)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The one option scanner: splits `command`'s arguments into positional
+/// arguments and [`Options`], rejecting any flag `command` does not take.
+fn parse<'a>(command: &str, args: &'a [String]) -> Result<(Vec<&'a String>, Options), String> {
+    let accepted =
+        flags(command).ok_or_else(|| format!("unknown command {command:?} (try `sda help`)"))?;
+    let mut opts = Options::default();
+    let mut positional = Vec::new();
+    let mut only = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            if command == "repro" {
+                // A bare scale name is shorthand for `--scale` (`sda repro
+                // quick`); like the flag, the last one given wins.
+                opts.scale =
+                    Scale::parse(flag).map_err(|_| format!("unrecognized argument {flag:?}"))?;
+            } else {
+                positional.push(arg);
+            }
+            continue;
+        }
+        if !accepted.contains(&flag) {
+            return Err(format!("`sda {command}` does not take {flag}"));
+        }
+        match flag {
+            "--throughput" => opts.throughput = true,
+            "--plot" => opts.plot = true,
+            _ => {
+                let v = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                match flag {
+                    "--seed" => opts.seed = value(flag, v)?,
+                    "--reps" => opts.reps = count(flag, v)?,
+                    "--jobs" => opts.jobs = Some(value(flag, v)?),
+                    "--cache-dir" => opts.cache_dir = Some(PathBuf::from(v)),
+                    "--ci-target" => match value(flag, v)? {
+                        target if target > 0.0 => opts.ci_target = Some(target),
+                        _ => return Err(format!("{flag} must be positive")),
+                    },
+                    "--max-reps" => opts.max_reps = count(flag, v)?,
+                    "--stats-out" => opts.stats_out = Some(v.clone()),
+                    "--trace-out" => opts.trace_out = Some(v.clone()),
+                    "--pex" => opts.pex = Some(v.clone()),
+                    "--scale" => opts.scale = Scale::parse(v)?,
+                    "--only" => {
+                        for name in v.split(',') {
+                            if !REGISTRY.iter().any(|(known, _)| *known == name) {
+                                return Err(format!(
+                                    "--only: unknown artifact {name:?} (artifacts: {})",
+                                    artifact_names()
+                                ));
+                            }
+                            only.push(name);
+                        }
+                    }
+                    "--out" => opts.out = Some(PathBuf::from(v)),
+                    _ => unreachable!("{flag} is accepted but not parsed"),
+                }
+            }
+        }
+    }
+    opts.only = REGISTRY
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| only.contains(name))
+        .collect();
+    Ok((positional, opts))
+}
+
+/// Every artifact name `sda repro --only` accepts, in report order.
+fn artifact_names() -> String {
+    let names: Vec<&str> = REGISTRY.iter().map(|(name, _)| *name).collect();
+    names.join(", ")
+}
+
+/// Worker threads: `flag` (`--jobs N`), else `env` (`SDA_JOBS`), which
+/// is 0 (all cores) when unset. A malformed `SDA_JOBS` is an error even
+/// under `--jobs`.
+fn workers(flag: Option<usize>, env: Result<usize, String>) -> Result<usize, String> {
+    let env = env?;
+    Ok(flag.unwrap_or(env))
+}
+
+impl Options {
+    /// The worker count: see [`workers`]. Checked before anything
+    /// simulates, because the experiment harness panics on a malformed
+    /// `SDA_JOBS`.
+    fn jobs(&self) -> Result<usize, String> {
+        workers(self.jobs, run::env_jobs())
+    }
+
     /// The stop rule: adaptive under `--ci-target`, fixed otherwise.
     fn stop(&self) -> StopRule {
         match self.ci_target {
@@ -103,7 +293,7 @@ impl RunOptions {
                 cfgs.into_iter()
                     .map(|cfg| SweepPoint::new(cfg, self.seed).stop(stop)),
             )
-            .jobs(self.jobs)
+            .jobs(self.jobs()?)
             .min_reps(self.reps.max(2))
             .max_reps(self.max_reps);
         let cache = self
@@ -134,12 +324,13 @@ impl RunOptions {
             let mut results = self.execute_all(vec![cfg.clone()])?;
             return Ok(results.pop().expect("one point in, one out"));
         };
+        let jobs = self.jobs()?;
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
         let sink = JsonlSink::new(std::io::BufWriter::new(file));
         let multi = Runner::new(cfg.clone())
             .seed(self.seed)
-            .jobs(self.jobs)
+            .jobs(jobs)
             .stop(self.stop())
             .min_reps(self.reps.max(2))
             .max_reps(self.max_reps)
@@ -169,83 +360,6 @@ fn write_stats(path: &str, json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared option scanning: extracts the replication options, leaving the
-/// positional arguments.
-fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> {
-    let mut opts = RunOptions {
-        seed: 42,
-        reps: 2,
-        jobs: 0,
-        ci_target: None,
-        max_reps: 64,
-        stats_out: None,
-        throughput: false,
-        trace_out: None,
-        cache_dir: None,
-    };
-    let mut no_cache = false;
-    let mut positional = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-            }
-            "--reps" => {
-                let v = iter.next().ok_or("--reps needs a value")?;
-                opts.reps = v.parse().map_err(|_| format!("bad reps {v:?}"))?;
-                if opts.reps == 0 {
-                    return Err("reps must be at least 1".into());
-                }
-            }
-            "--jobs" => {
-                let v = iter.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad jobs {v:?}"))?;
-            }
-            "--ci-target" => {
-                let v = iter.next().ok_or("--ci-target needs a value")?;
-                let target: f64 = v.parse().map_err(|_| format!("bad ci target {v:?}"))?;
-                if target <= 0.0 {
-                    return Err("ci target must be positive".into());
-                }
-                opts.ci_target = Some(target);
-            }
-            "--max-reps" => {
-                let v = iter.next().ok_or("--max-reps needs a value")?;
-                opts.max_reps = v.parse().map_err(|_| format!("bad max reps {v:?}"))?;
-                if opts.max_reps == 0 {
-                    return Err("max reps must be at least 1".into());
-                }
-            }
-            "--stats-out" => {
-                let v = iter.next().ok_or("--stats-out needs a value")?;
-                opts.stats_out = Some(v.clone());
-            }
-            "--throughput" => {
-                opts.throughput = true;
-            }
-            "--trace-out" => {
-                let v = iter.next().ok_or("--trace-out needs a value")?;
-                opts.trace_out = Some(v.clone());
-            }
-            "--cache-dir" => {
-                let v = iter.next().ok_or("--cache-dir needs a directory")?;
-                opts.cache_dir = Some(v.clone());
-            }
-            "--no-cache" => no_cache = true,
-            _ => positional.push(arg),
-        }
-    }
-    if no_cache {
-        if opts.cache_dir.is_some() {
-            return Err("--no-cache conflicts with --cache-dir".into());
-        }
-        opts.cache_dir = None;
-    }
-    Ok((positional, opts))
-}
-
 /// Builds a configuration from an optional leading config-file path and
 /// `key=value` overrides.
 fn build_config<'a>(positional: &[&'a String]) -> Result<(SimConfig, Vec<&'a String>), String> {
@@ -268,9 +382,8 @@ fn build_config<'a>(positional: &[&'a String]) -> Result<(SimConfig, Vec<&'a Str
     Ok((cfg, leftovers))
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    let (cfg, leftovers) = build_config(&positional)?;
+fn cmd_run(positional: &[&String], opts: &Options) -> Result<(), String> {
+    let (cfg, leftovers) = build_config(positional)?;
     if let Some(extra) = leftovers.first() {
         return Err(format!("unexpected argument {extra:?}"));
     }
@@ -283,14 +396,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    let (base, strategy_args) = build_config(&positional)?;
+fn cmd_compare(positional: &[&String], opts: &Options) -> Result<(), String> {
+    let (base, strategy_args) = build_config(positional)?;
     if strategy_args.is_empty() {
         return Err("compare needs at least one strategy label (e.g. UD-UD EQF-DIV1)".into());
-    }
-    if opts.trace_out.is_some() {
-        return Err("--trace-out is only supported by `sda run`".into());
     }
     base.validate().map_err(|e| e.to_string())?;
     let points = strategy_args
@@ -305,14 +414,14 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    run_table(&opts, format!("{:<12}", "strategy"), points)
+    run_table(opts, format!("{:<12}", "strategy"), points)
 }
 
 /// Runs labelled points `(row label, stats key, config)` as one sweep,
 /// then prints a miss-rate row per point under `header` and writes the
 /// keyed `stats.json`, if asked.
 fn run_table(
-    opts: &RunOptions,
+    opts: &Options,
     header: String,
     points: Vec<(String, String, SimConfig)>,
 ) -> Result<(), String> {
@@ -356,37 +465,49 @@ fn keyed_stats(entries: &[(String, String)]) -> String {
     out
 }
 
-/// Parses a sweep spec `key=LO..HI:STEP` into (key, values).
+/// Decimal places a number is written with: 1 for `0.2`, 3 for `25e-4`.
+fn decimals(text: &str) -> usize {
+    let (mantissa, exponent) = text.split_once(['e', 'E']).unwrap_or((text, "0"));
+    let places = mantissa.split_once('.').map_or(0, |(_, frac)| frac.len()) as i64;
+    (places - exponent.parse::<i64>().unwrap_or(0)).max(0) as usize
+}
+
+/// Parses a sweep spec `key=LO..HI:STEP` into (key, values). Value `i` is
+/// `LO + i·STEP` rounded to the decimal places written in LO and STEP, so
+/// `0.1..0.9:0.2` yields exactly the f64s `0.1, 0.3, 0.5, 0.7, 0.9`.
 fn parse_sweep_spec(text: &str) -> Result<(String, Vec<f64>), String> {
     let (key, range) = text
         .split_once('=')
         .ok_or_else(|| format!("sweep spec {text:?} must look like key=LO..HI:STEP"))?;
-    let (span, step) = range
+    let (span, step_text) = range
         .split_once(':')
         .ok_or_else(|| format!("sweep range {range:?} must look like LO..HI:STEP"))?;
-    let (lo, hi) = span
+    let (lo_text, hi) = span
         .split_once("..")
         .ok_or_else(|| format!("sweep span {span:?} must look like LO..HI"))?;
-    let lo: f64 = lo.trim().parse().map_err(|_| format!("bad LO {lo:?}"))?;
+    let (lo_text, step_text) = (lo_text.trim(), step_text.trim());
+    let lo: f64 = lo_text.parse().map_err(|_| format!("bad LO {lo_text:?}"))?;
     let hi: f64 = hi.trim().parse().map_err(|_| format!("bad HI {hi:?}"))?;
-    let step: f64 = step
-        .trim()
+    let step: f64 = step_text
         .parse()
-        .map_err(|_| format!("bad STEP {step:?}"))?;
+        .map_err(|_| format!("bad STEP {step_text:?}"))?;
     if !(step > 0.0 && hi >= lo) {
         return Err(format!("invalid sweep [{lo}, {hi}] step {step}"));
     }
-    let mut values = Vec::new();
-    let mut v = lo;
-    while v <= hi + 1e-9 {
-        values.push(v);
-        v += step;
-    }
+    let places = decimals(lo_text).max(decimals(step_text));
+    let values = (0..)
+        .map(|i| {
+            let v = lo + f64::from(i) * step;
+            format!("{v:.places$}")
+                .parse::<f64>()
+                .expect("formatted f64")
+        })
+        .take_while(|v| *v <= hi + 1e-9)
+        .collect();
     Ok((key.trim().to_string(), values))
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
+fn cmd_sweep(positional: &[&String], opts: &Options) -> Result<(), String> {
     let Some((&spec_arg, rest)) = positional.split_first() else {
         return Err("usage: sda sweep key=LO..HI:STEP [CONFIG] [key=value ...]".into());
     };
@@ -394,9 +515,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (base, leftovers) = build_config(rest)?;
     if let Some(extra) = leftovers.first() {
         return Err(format!("unexpected argument {extra:?}"));
-    }
-    if opts.trace_out.is_some() {
-        return Err("--trace-out is only supported by `sda run`".into());
     }
     let points = values
         .iter()
@@ -407,22 +525,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             Ok((format!("{value:<10.3}"), format!("{key}={value}"), cfg))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    run_table(&opts, format!("{key:<10}"), points)
+    run_table(opts, format!("{key:<10}"), points)
 }
 
-fn cmd_decompose(args: &[String]) -> Result<(), String> {
-    let (positional, _) = split_options(args)?;
-    let mut pex_arg: Option<&String> = None;
-    let mut plain = Vec::new();
-    let mut iter = positional.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--pex" {
-            pex_arg = Some(iter.next().ok_or("--pex needs a value")?);
-        } else {
-            plain.push(arg);
-        }
-    }
-    let [spec_text, deadline_text, strategy_text] = plain.as_slice() else {
+fn cmd_decompose(positional: &[&String], opts: &Options) -> Result<(), String> {
+    let [spec_text, deadline_text, strategy_text] = positional else {
         return Err("usage: sda decompose SPEC DEADLINE STRATEGY [--pex P1,P2,...]".into());
     };
     let spec = parse_spec(spec_text).map_err(|e| e.to_string())?;
@@ -431,7 +538,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
         .map_err(|_| format!("bad deadline {deadline_text:?}"))?;
     let strategy = parse_strategy(strategy_text)?;
     let leaves = spec.simple_count();
-    let pex: Vec<f64> = match pex_arg {
+    let pex: Vec<f64> = match &opts.pex {
         Some(text) => {
             let parsed: Result<Vec<f64>, _> =
                 text.split(',').map(|p| p.trim().parse::<f64>()).collect();
@@ -472,6 +579,58 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Renders the selected artifacts to stdout (and CSVs under `--out`),
+/// reports the cache on stderr, and exits 1 if a rendered claim fails.
+fn cmd_repro(opts: &Options) -> Result<ExitCode, String> {
+    let jobs = opts.jobs()?;
+    let exec = match &opts.cache_dir {
+        Some(dir) => {
+            Exec::sweep_with_dir(dir).map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))?
+        }
+        None => Exec::sweep(),
+    }
+    .with_jobs(jobs);
+
+    println!("# SDA reproduction report (scale: {})\n", opts.scale);
+    let mut claims_fail = false;
+    let tables = run::with_exec(exec.clone(), || {
+        repro::render(opts.scale, &opts.only)
+            .map(|(name, artifact)| {
+                let plot = match &artifact {
+                    Artifact::Figure(figure, x_label) if opts.plot => {
+                        Some(figure.plot(name, x_label))
+                    }
+                    Artifact::Claims(results) => {
+                        let held = results.iter().filter(|r| r.pass).count();
+                        eprintln!("{held} / {} claims hold at this scale", results.len());
+                        claims_fail = held < results.len();
+                        None
+                    }
+                    _ => None,
+                };
+                let table = artifact.into_table();
+                println!("{table}");
+                if let Some(plot) = plot {
+                    println!("{plot}");
+                }
+                (name, table)
+            })
+            .collect::<Vec<_>>()
+    });
+    if let Some(dir) = &opts.out {
+        repro::write_csvs(dir, &tables)?;
+        eprintln!("wrote {} CSV files to {}", tables.len(), dir.display());
+    }
+    if let Some(report) = exec.cache_report() {
+        eprintln!("{report}");
+    }
+    Ok(if claims_fail {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
+}
+
 fn print_help(topic: Option<&str>) {
     if topic == Some("config") {
         println!(
@@ -490,7 +649,7 @@ fn print_help(topic: Option<&str>) {
              \x20 burst = none|PERIOD,ON_FRACTION,BOOST  (ON/OFF arrival bursts)\n\
              \x20 abort = none|pm|local|local-drop\n\
              \x20 estimation = exact|factor:F|bias:F|mean:M\n\
-             fault injection (all off by default; see also `repro faults`):\n\
+             fault injection (all off by default; see also `sda repro --only f1_faults`):\n\
              \x20 fault_mttf = T            mean time to node failure (0 = never)\n\
              \x20 fault_mttr = T            mean time to repair\n\
              \x20 fault_crash = abort|requeue   fate of work on a crashed node\n\
@@ -506,11 +665,13 @@ fn print_help(topic: Option<&str>) {
          \x20 sda compare [CONFIG] [key=value ...] STRATEGY... [OPTIONS]\n\
          \x20 sda sweep key=LO..HI:STEP [CONFIG] [key=value ...] [OPTIONS]\n\
          \x20 sda decompose SPEC DEADLINE STRATEGY [--pex P1,P2,...]\n\
+         \x20 sda repro [--scale quick|default|paper] [--only NAME[,NAME...]] [--plot]\n\
+         \x20           [--out DIR] [--jobs N] [--cache-dir D]\n\
          \x20 sda help [config]\n\n\
          options (run/compare/sweep):\n\
          \x20 --seed N       base seed of the replication stream (default 42)\n\
          \x20 --reps N       replications per point (default 2; the floor with --ci-target)\n\
-         \x20 --jobs N       worker threads (default 0 = all cores)\n\
+         \x20 --jobs N       worker threads (default $SDA_JOBS, else 0 = all cores)\n\
          \x20 --ci-target R  add replications until each MD metric's 95% CI\n\
          \x20                width ratio is <= R (capped by --max-reps)\n\
          \x20 --max-reps N   replication cap under --ci-target (default 64)\n\
@@ -520,14 +681,22 @@ fn print_help(topic: Option<&str>) {
          \x20 --trace-out F  (run only) write replication 0's event trace to F\n\
          \x20                as JSONL; the bytes do not depend on --jobs\n\
          \x20 --cache-dir D  memoize completed points in D and replay them on\n\
-         \x20                later invocations (bypassed when --trace-out is set)\n\
-         \x20 --no-cache     never read or write a result cache\n\n\
+         \x20                later invocations (bypassed when --trace-out is set;\n\
+         \x20                without it nothing is read from or written to disk)\n\n\
+         options (repro; also --jobs and --cache-dir as above):\n\
+         \x20 --scale S      quick, default (the default) or paper; a bare S works too\n\
+         \x20 --only NAMES   render only these comma-separated artifacts\n\
+         \x20 --plot         follow each figure with an ASCII chart\n\
+         \x20 --out DIR      also write each artifact to DIR/<name>.csv\n\
+         \x20 artifacts: {}\n\n\
          examples:\n\
          \x20 sda run load=0.7 strategy=UD-DIV1 --jobs 8 --stats-out stats.json\n\
          \x20 sda run load=0.7 duration=2000 --trace-out trace.jsonl\n\
          \x20 sda compare load=0.5 UD-UD UD-DIV1 UD-GF EQF-DIV1\n\
          \x20 sda sweep load=0.1..0.9:0.2 strategy=UD-GF --ci-target 0.1\n\
-         \x20 sda decompose \"[a [b || c] d]\" 12 EQF-DIV1 --pex 1,2,2,1"
+         \x20 sda decompose \"[a [b || c] d]\" 12 EQF-DIV1 --pex 1,2,2,1\n\
+         \x20 sda repro --scale quick --only fig7,claims --plot",
+        artifact_names()
     );
 }
 
@@ -539,66 +708,175 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn split_options_extracts_seed_and_reps() {
-        let args = strings(&["load=0.5", "--seed", "7", "UD-UD", "--reps", "3"]);
-        let (positional, opts) = split_options(&args).unwrap();
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.reps, 3);
-        assert_eq!(positional.len(), 2);
+    /// Parses `args` as `command`'s arguments.
+    fn parse_as(command: &str, args: &[&str]) -> Result<(usize, Options), String> {
+        let args = strings(args);
+        parse(command, &args).map(|(positional, opts)| (positional.len(), opts))
     }
 
     #[test]
-    fn split_options_defaults() {
-        let (positional, opts) = split_options(&[]).unwrap();
-        assert!(positional.is_empty());
+    fn parse_extracts_seed_and_reps() {
+        let (positional, opts) = parse_as(
+            "compare",
+            &["load=0.5", "--seed", "7", "UD-UD", "--reps", "3"],
+        )
+        .unwrap();
+        assert_eq!(opts.seed, 7);
+        assert_eq!(opts.reps, 3);
+        assert_eq!(positional, 2);
+    }
+
+    #[test]
+    fn parse_defaults() {
+        let (positional, opts) = parse_as("run", &[]).unwrap();
+        assert_eq!(positional, 0);
         assert_eq!(opts.seed, 42);
         assert_eq!(opts.reps, 2);
-        assert_eq!(opts.jobs, 0);
+        assert_eq!(opts.jobs, None);
+        assert_eq!(opts.cache_dir, None);
         assert_eq!(opts.ci_target, None);
         assert_eq!(opts.max_reps, 64);
         assert_eq!(opts.stats_out, None);
         assert_eq!(opts.trace_out, None);
-        assert!(split_options(&strings(&["--seed"])).is_err());
-        assert!(split_options(&strings(&["--reps", "0"])).is_err());
+        assert!(!opts.throughput, "deterministic stats.json by default");
+        assert!(parse_as("run", &["--seed"]).is_err());
+        assert!(parse_as("run", &["--reps", "0"]).is_err());
     }
 
     #[test]
-    fn split_options_parallel_flags() {
-        let args = strings(&[
-            "--jobs",
-            "4",
-            "--ci-target",
-            "0.1",
-            "--max-reps",
-            "16",
-            "--stats-out",
-            "out.json",
-            "--trace-out",
-            "trace.jsonl",
-        ]);
-        let (positional, opts) = split_options(&args).unwrap();
-        assert!(positional.is_empty());
-        assert_eq!(opts.jobs, 4);
+    fn parse_run_flags() {
+        let (positional, opts) = parse_as(
+            "run",
+            &[
+                "--jobs",
+                "4",
+                "--ci-target",
+                "0.1",
+                "--max-reps",
+                "16",
+                "--stats-out",
+                "out.json",
+                "--trace-out",
+                "trace.jsonl",
+                "--cache-dir",
+                "pts",
+                "--throughput",
+            ],
+        )
+        .unwrap();
+        assert_eq!(positional, 0);
+        assert_eq!(opts.jobs, Some(4));
         assert_eq!(opts.ci_target, Some(0.1));
         assert_eq!(opts.max_reps, 16);
         assert_eq!(opts.stats_out.as_deref(), Some("out.json"));
         assert_eq!(opts.trace_out.as_deref(), Some("trace.jsonl"));
-        assert!(split_options(&strings(&["--ci-target", "-1"])).is_err());
-        assert!(split_options(&strings(&["--max-reps", "0"])).is_err());
-        assert!(split_options(&strings(&["--stats-out"])).is_err());
-        assert!(split_options(&strings(&["--trace-out"])).is_err());
+        assert_eq!(opts.cache_dir.as_deref(), Some(Path::new("pts")));
+        assert!(opts.throughput);
+        for bad in [
+            &["--ci-target", "-1"][..],
+            &["--max-reps", "0"],
+            &["--jobs", "two"],
+            &["--stats-out"],
+            &["--trace-out"],
+            &["--cache-dir"],
+        ] {
+            assert!(parse_as("run", bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn split_options_cache_flags() {
-        let (_, opts) = split_options(&strings(&["--cache-dir", "pts"])).unwrap();
-        assert_eq!(opts.cache_dir.as_deref(), Some("pts"));
-        let (_, opts) = split_options(&strings(&["--no-cache"])).unwrap();
-        assert_eq!(opts.cache_dir, None);
-        assert!(split_options(&strings(&["--cache-dir"])).is_err());
-        let err = split_options(&strings(&["--no-cache", "--cache-dir", "pts"])).unwrap_err();
-        assert!(err.contains("--no-cache"), "{err:?}");
+    fn parse_repro_flags() {
+        let (positional, opts) = parse_as(
+            "repro",
+            &[
+                "--scale",
+                "quick",
+                "--only",
+                "fig5",
+                "--plot",
+                "--out",
+                "report",
+                "--cache-dir",
+                "cache",
+                "--jobs",
+                "3",
+            ],
+        )
+        .unwrap();
+        assert_eq!(positional, 0);
+        assert_eq!(opts.scale, Scale::Quick);
+        assert_eq!(opts.only, ["fig5"]);
+        assert!(opts.plot);
+        assert_eq!(opts.out.as_deref(), Some(Path::new("report")));
+        assert_eq!(opts.cache_dir.as_deref(), Some(Path::new("cache")));
+        assert_eq!(opts.jobs, Some(3));
+        assert_eq!(parse_as("repro", &[]).unwrap().1.scale, Scale::Default);
+        assert_eq!(parse_as("repro", &["paper"]).unwrap().1.scale, Scale::Paper);
+        // The last scale given wins, bare name or `--scale`.
+        for (argv, scale) in [
+            (&["quick", "--scale", "paper"][..], Scale::Paper),
+            (&["--scale", "paper", "quick"], Scale::Quick),
+            (&["paper", "quick"], Scale::Quick),
+        ] {
+            let (positional, opts) = parse_as("repro", argv).unwrap();
+            assert_eq!((positional, opts.scale), (0, scale), "{argv:?}");
+        }
+
+        // `--only` lists come back in registry order without repeats.
+        for (argv, only) in [
+            (&[][..], vec![]),
+            (
+                &["--only", "claims,fig6,table1"],
+                vec!["table1", "fig6", "claims"],
+            ),
+            (&["--only", "fig5,fig5"], vec!["fig5"]),
+            (
+                &["--only", "e2_slack", "--only", "fig5"],
+                vec!["fig5", "e2_slack"],
+            ),
+        ] {
+            assert_eq!(parse_as("repro", argv).unwrap().1.only, only, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn parse_errors_name_the_flag() {
+        for (command, argv, needle) in [
+            ("repro", &["--out"][..], "--out"),
+            ("repro", &["--scale"], "--scale"),
+            ("repro", &["--cache-dir"], "--cache-dir"),
+            ("repro", &["--only"], "--only"),
+            ("repro", &["--only", "fig5,nope"], "\"nope\""),
+            ("repro", &["--scale", "galactic"], "galactic"),
+            ("repro", &["galactic"], "unrecognized argument \"galactic\""),
+            ("repro", &["--frobnicate"], "--frobnicate"),
+            ("repro", &["--csv"], "--csv"),
+            ("repro", &["--seed", "5"], "--seed"),
+            ("repro", &["--no-cache"], "--no-cache"),
+            ("run", &["--no-cache"], "--no-cache"),
+            ("run", &["--scale", "quick"], "--scale"),
+            ("compare", &["--trace-out", "t.jsonl"], "--trace-out"),
+            ("sweep", &["--trace-out", "t.jsonl"], "--trace-out"),
+            ("decompose", &["--jobs", "2"], "--jobs"),
+            ("decompose", &["--seed", "5"], "--seed"),
+            ("decompose", &["--pex"], "--pex"),
+        ] {
+            let err = parse_as(command, argv).unwrap_err();
+            assert!(err.contains(needle), "{command} {argv:?}: {err:?}");
+        }
+        let err = parse_as("frobnicate", &[]).unwrap_err();
+        assert!(err.contains("unknown command"), "{err:?}");
+    }
+
+    #[test]
+    fn jobs_flag_overrides_sda_jobs_which_overrides_auto() {
+        assert_eq!(workers(None, Ok(0)), Ok(0));
+        assert_eq!(workers(None, Ok(3)), Ok(3));
+        assert_eq!(workers(Some(2), Ok(3)), Ok(2));
+        assert_eq!(workers(Some(0), Ok(3)), Ok(0));
+        let bad = || Err(r#"SDA_JOBS: invalid value "abc""#.to_string());
+        assert_eq!(workers(None, bad()), bad());
+        assert_eq!(workers(Some(2), bad()), bad(), "checked even under --jobs");
     }
 
     #[test]
@@ -609,19 +887,12 @@ mod tests {
             warmup: 100.0,
             ..SimConfig::baseline()
         };
-        let fresh = RunOptions {
-            seed: 42,
-            reps: 2,
-            jobs: 1,
-            ci_target: None,
-            max_reps: 64,
-            stats_out: None,
-            throughput: false,
-            trace_out: None,
-            cache_dir: None,
+        let fresh = Options {
+            jobs: Some(1),
+            ..Options::default()
         };
-        let cached = RunOptions {
-            cache_dir: Some(dir.display().to_string()),
+        let cached = Options {
+            cache_dir: Some(dir.clone()),
             ..fresh.clone()
         };
         let want = fresh.execute(&cfg).unwrap().stats().to_json();
@@ -632,7 +903,7 @@ mod tests {
         // A whole command's points in one sweep, adaptive and with a
         // duplicate, match per-point runs, cold and replayed.
         let cfgs = vec![cfg.clone(), cfg.clone().with_load(0.7), cfg];
-        let adaptive = RunOptions {
+        let adaptive = Options {
             ci_target: Some(0.2),
             max_reps: 8,
             ..fresh.clone()
@@ -641,12 +912,12 @@ mod tests {
             .iter()
             .map(|cfg| adaptive.execute(cfg).unwrap().stats().to_json())
             .collect();
-        let batched = RunOptions {
-            jobs: 2,
+        let batched = Options {
+            jobs: Some(2),
             ..adaptive.clone()
         };
         for cache_dir in [None, cached.cache_dir.clone(), cached.cache_dir.clone()] {
-            let opts = RunOptions {
+            let opts = Options {
                 cache_dir,
                 ..batched.clone()
             };
@@ -659,17 +930,6 @@ mod tests {
             assert_eq!(want, got);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn split_options_throughput_flag() {
-        let none = strings(&[]);
-        let (_, opts) = split_options(&none).expect("no options is fine");
-        assert!(!opts.throughput, "deterministic stats.json by default");
-        let args = strings(&["--throughput"]);
-        let (positional, opts) = split_options(&args).unwrap();
-        assert!(positional.is_empty());
-        assert!(opts.throughput);
     }
 
     #[test]
@@ -691,16 +951,12 @@ mod tests {
             warmup: 100.0,
             ..SimConfig::baseline()
         };
-        let opts = RunOptions {
+        let opts = Options {
             seed: 1,
-            reps: 2,
-            jobs: 2,
+            jobs: Some(2),
             ci_target: Some(100.0),
             max_reps: 8,
-            stats_out: None,
-            throughput: false,
-            trace_out: None,
-            cache_dir: None,
+            ..Options::default()
         };
         let multi = opts.execute(&cfg).unwrap();
         assert_eq!(multi.runs().len(), 2, "loose target stops at the floor");
@@ -724,6 +980,22 @@ mod tests {
         assert_eq!(values.len(), 3);
         assert!((values[0] - 0.1).abs() < 1e-12);
         assert!((values[2] - 0.5).abs() < 1e-12);
+        // Exactly the values written, not the sums `v += step` drifts to
+        // (0.30000000000000004, 0.8999999999999999).
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (_, values) = parse_sweep_spec("load=0.1..0.9:0.2").unwrap();
+        assert_eq!(bits(&values), bits(&[0.1, 0.3, 0.5, 0.7, 0.9]));
+        // The end stays inclusive within 1e-9.
+        let (_, values) = parse_sweep_spec("load=0.1..0.7:0.1").unwrap();
+        assert_eq!(
+            bits(&values),
+            bits(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+            "{values:?}"
+        );
+        let (_, values) = parse_sweep_spec("x=1..2:25e-2").unwrap();
+        assert_eq!(bits(&values), bits(&[1.0, 1.25, 1.5, 1.75, 2.0]));
+        let (_, values) = parse_sweep_spec("nodes=2..8:2").unwrap();
+        assert_eq!(values, [2.0, 4.0, 6.0, 8.0]);
         assert!(parse_sweep_spec("load=0.1..0.5").is_err());
         assert!(parse_sweep_spec("load").is_err());
         assert!(parse_sweep_spec("load=0.5..0.1:0.1").is_err());

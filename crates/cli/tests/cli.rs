@@ -17,6 +17,7 @@ fn help_prints_usage() {
     assert!(text.contains("sda run"));
     assert!(text.contains("sda compare"));
     assert!(text.contains("decompose"));
+    assert!(text.contains("sda repro"));
 }
 
 #[test]
@@ -249,6 +250,135 @@ fn trace_out_is_run_only() {
         "--trace-out",
         "unused.jsonl",
     ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("only supported by `sda run`"));
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: `sda compare` does not take --trace-out"),
+        "{err}"
+    );
+}
+
+#[test]
+fn flags_a_command_does_not_take_exit_2() {
+    for args in [
+        &[
+            "decompose",
+            "[a [b || c] d]",
+            "12",
+            "EQF-DIV1",
+            "--jobs",
+            "2",
+        ][..],
+        &["decompose", "[a b]", "12", "UD-UD", "--seed", "5"],
+        &["repro", "--seed", "5"],
+        &["repro", "--no-cache"],
+        &["run", "duration=500", "--no-cache"],
+        &["sweep", "load=0.2..0.4:0.2", "--plot"],
+    ] {
+        let out = sda(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(err.starts_with("error: ") && err.contains(flag), "{err}");
+    }
+}
+
+#[test]
+fn invalid_sda_jobs_exits_2_before_anything_runs() {
+    for args in [
+        &["run", "duration=500", "warmup=0"][..],
+        &["sweep", "load=0.2..0.4:0.2", "duration=500", "warmup=0"],
+        &["repro", "--scale", "quick", "--only", "table1"],
+        &["repro", "--only", "table1", "--jobs", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sda"))
+            .args(args)
+            .env("SDA_JOBS", "abc")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(r#"SDA_JOBS: invalid value "abc""#), "{err}");
+    }
+}
+
+#[test]
+fn jobs_flag_and_sda_jobs_give_identical_results() {
+    let dir = std::env::temp_dir().join(format!("sda-cli-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut outputs = Vec::new();
+    for (env, flag) in [("1", None), ("1", Some("3")), ("3", Some("1")), ("", None)] {
+        let stats = dir.join(format!("stats-{env}-{}.json", flag.unwrap_or("none")));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sda"));
+        cmd.args(["run", "duration=1000", "warmup=10", "--reps", "3"])
+            .args(["--stats-out", stats.to_str().unwrap()])
+            .env("SDA_JOBS", env);
+        if let Some(jobs) = flag {
+            cmd.args(["--jobs", jobs]);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        outputs.push((out.stdout, std::fs::read(&stats).unwrap()));
+    }
+    for other in &outputs[1..] {
+        assert_eq!(&outputs[0], other);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repro_renders_the_selection_in_registry_order() {
+    let out = sda(&["repro", "--scale", "quick", "--only", "table2,table1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("# SDA reproduction report (scale: quick"));
+    let table1 = text.find("## Table 1").expect("table1 rendered");
+    let table2 = text.find("## Table 2").expect("table2 rendered");
+    assert!(table1 < table2, "registry order: {text}");
+    assert!(!text.contains("## Figure"), "only the selection: {text}");
+}
+
+#[test]
+fn repro_bare_scale_name_sets_the_scale() {
+    for (args, scale) in [
+        (&["repro", "quick", "--only", "table1"][..], "quick"),
+        (
+            &["repro", "paper", "--scale", "quick", "--only", "table1"],
+            "quick",
+        ),
+    ] {
+        let out = sda(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let header = format!("# SDA reproduction report (scale: {scale} (");
+        assert!(text.starts_with(&header), "{args:?}: {text}");
+    }
+    let out = sda(&["repro", "galactic"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unrecognized argument \"galactic\""), "{err}");
+}
+
+#[test]
+fn repro_unknown_artifact_lists_the_names() {
+    let out = sda(&["repro", "--only", "nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("\"nope\""), "{err}");
+    for name in ["table1", "fig15", "a10_burstiness", "f1_faults", "claims"] {
+        assert!(err.contains(name), "{name} missing from {err}");
+    }
 }

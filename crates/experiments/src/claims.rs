@@ -1,7 +1,7 @@
 //! Executable reproduction claims: every qualitative statement the paper
 //! makes about its figures, as pass/fail checks runnable at any scale.
 //!
-//! `repro --only claims` runs these, prints a report, and exits 1 if any
+//! `sda repro --only claims` runs these, prints a report, and exits 1 if any
 //! fails; the CI-sized versions of the same assertions live in the
 //! repository's integration tests at [`Scale::Quick`]. Running at [`Scale::Paper`] verifies the
 //! reproduction with the paper's own statistical weight.

@@ -7,8 +7,8 @@
 //! raw series (for tests and perfbench) and a rendered [`Table`] matching
 //! the rows/series the paper plots.
 //!
-//! The `repro` binary renders all of them through one registry
-//! ([`repro::REGISTRY`]); `repro --only NAME[,NAME...]` renders a
+//! `sda repro` renders all of them through one registry
+//! ([`repro::REGISTRY`]); `sda repro --only NAME[,NAME...]` renders a
 //! selection:
 //!
 //! | Paper artifact | Function | `--only` name |

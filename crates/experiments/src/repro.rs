@@ -1,12 +1,9 @@
-//! The reproduction as a library: the registry of every artifact `repro`
-//! renders, and the `repro` binary's argument parsing, shared with the
-//! determinism test and the benchmarks.
-
-use std::path::PathBuf;
+//! The reproduction as a library: the registry of every artifact
+//! `sda repro` renders, shared with the determinism test and the
+//! benchmarks.
 
 use crate::claims::ClaimResult;
 use crate::figures::FigureResult;
-use crate::run::{cache_report, install, Exec};
 use crate::table::Table;
 use crate::{ablations, checkpoints, claims, extensions, faults, figures, tables, Scale};
 
@@ -90,115 +87,6 @@ pub const REGISTRY: [(&str, Render); 25] = [
     ("claims", |s| Artifact::Claims(claims::validate(s))),
 ];
 
-/// The `repro` usage text, naming every artifact `--only` accepts.
-pub fn usage() -> String {
-    let names: Vec<&str> = REGISTRY.iter().map(|(name, _)| *name).collect();
-    format!(
-        "usage: repro [--scale quick|default|paper] [--only NAME[,NAME...]] [--plot] \
-         [--out DIR] [--cache-dir DIR | --no-cache]\n\
-         artifact names: {}",
-        names.join(", ")
-    )
-}
-
-/// Parsed `repro` command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Options {
-    /// Experiment scale (`--scale quick|default|paper`, default
-    /// `default`).
-    pub scale: Scale,
-    /// The artifacts to render (`--only NAME[,NAME...]`), in registry
-    /// order without repeats; empty renders every artifact.
-    pub only: Vec<&'static str>,
-    /// Print an ASCII chart after each figure (`--plot`).
-    pub plot: bool,
-    /// Directory to write per-artifact CSVs into (`--out DIR`).
-    pub out: Option<PathBuf>,
-    /// On-disk result cache directory (`--cache-dir DIR`), making
-    /// repeated reproductions incremental.
-    pub cache_dir: Option<PathBuf>,
-    /// Disable result caching entirely (`--no-cache`).
-    pub no_cache: bool,
-}
-
-/// Parses the `repro` argument list.
-///
-/// # Errors
-///
-/// Returns a message naming the offending flag or value: a flag missing
-/// its value, an unknown scale or artifact name, `--cache-dir` combined
-/// with `--no-cache`, or an unrecognized argument.
-pub fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        scale: Scale::Default,
-        only: Vec::new(),
-        plot: false,
-        out: None,
-        cache_dir: None,
-        no_cache: false,
-    };
-    let mut requested = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = iter.next().ok_or("--scale needs a value")?;
-                options.scale = Scale::parse(value)?;
-            }
-            "--only" => {
-                let value = iter.next().ok_or("--only needs artifact names")?;
-                for name in value.split(',') {
-                    if !REGISTRY.iter().any(|(known, _)| *known == name) {
-                        return Err(format!("--only: unknown artifact {name:?}"));
-                    }
-                    requested.push(name);
-                }
-            }
-            "--plot" => options.plot = true,
-            "--out" => {
-                options.out = Some(PathBuf::from(iter.next().ok_or("--out needs a directory")?));
-            }
-            "--cache-dir" => {
-                options.cache_dir = Some(PathBuf::from(
-                    iter.next().ok_or("--cache-dir needs a directory")?,
-                ));
-            }
-            "--no-cache" => options.no_cache = true,
-            other => {
-                // A bare scale name is shorthand for `--scale` (`repro quick`).
-                options.scale =
-                    Scale::parse(other).map_err(|_| format!("unrecognized argument {other:?}"))?;
-            }
-        }
-    }
-    if options.no_cache && options.cache_dir.is_some() {
-        return Err("--no-cache conflicts with --cache-dir".to_string());
-    }
-    options.only = REGISTRY
-        .iter()
-        .map(|(name, _)| *name)
-        .filter(|name| requested.contains(name))
-        .collect();
-    Ok(options)
-}
-
-/// Installs the process-wide execution mode the options ask for.
-///
-/// # Errors
-///
-/// Returns the error from creating the cache directory.
-pub fn install_exec(options: &Options) -> std::io::Result<()> {
-    let exec = if options.no_cache {
-        Exec::sweep_uncached()
-    } else if let Some(dir) = &options.cache_dir {
-        Exec::sweep_with_dir(dir)?
-    } else {
-        Exec::sweep()
-    };
-    install(exec);
-    Ok(())
-}
-
 /// Renders the registry entries named in `only` (every entry if it is
 /// empty) at the given scale, lazily and in registry order. Progress goes
 /// to stderr so stdout stays a clean report.
@@ -238,85 +126,9 @@ pub fn write_csvs(dir: &std::path::Path, artifacts: &[(&str, Table)]) -> Result<
     Ok(())
 }
 
-/// The cache hit/miss summary line printed (and greppable by CI) after a
-/// reproduction, e.g.
-/// `cache: 120/155 points hit (77.4% — memory 120, disk 0), 35 simulated`.
-pub fn cache_summary() -> Option<String> {
-    cache_report().map(|r| r.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_accepts_all_flags() {
-        let options = parse_args(&args(&[
-            "--scale",
-            "quick",
-            "--only",
-            "fig5",
-            "--plot",
-            "--out",
-            "report",
-            "--cache-dir",
-            "cache",
-        ]))
-        .unwrap();
-        assert_eq!(options.scale, Scale::Quick);
-        assert_eq!(options.only, ["fig5"]);
-        assert!(options.plot);
-        assert_eq!(options.out.as_deref(), Some(std::path::Path::new("report")));
-        assert_eq!(
-            options.cache_dir.as_deref(),
-            Some(std::path::Path::new("cache"))
-        );
-        assert!(!options.no_cache);
-
-        // `--only` lists come back in registry order without repeats.
-        for (argv, only) in [
-            (args(&[]), vec![]),
-            (
-                args(&["--only", "claims,fig6,table1"]),
-                vec!["table1", "fig6", "claims"],
-            ),
-            (args(&["--only", "fig5,fig5"]), vec!["fig5"]),
-            (
-                args(&["--only", "e2_slack", "--only", "fig5"]),
-                vec!["fig5", "e2_slack"],
-            ),
-        ] {
-            assert_eq!(parse_args(&argv).unwrap().only, only, "{argv:?}");
-        }
-    }
-
-    #[test]
-    fn parse_errors_name_the_flag() {
-        for (argv, needle) in [
-            (args(&["--out"]), "--out"),
-            (args(&["--scale"]), "--scale"),
-            (args(&["--cache-dir"]), "--cache-dir"),
-            (args(&["--only"]), "--only"),
-            (args(&["--only", "fig5,nope"]), "\"nope\""),
-            (args(&["--scale", "galactic"]), "galactic"),
-            (args(&["--frobnicate"]), "--frobnicate"),
-            (args(&["--csv"]), "--csv"),
-            (args(&["--no-cache", "--cache-dir", "d"]), "--no-cache"),
-        ] {
-            let err = parse_args(&argv).unwrap_err();
-            assert!(err.contains(needle), "{err:?} should mention {needle}");
-        }
-    }
-
-    #[test]
-    fn parse_accepts_bare_scale() {
-        assert_eq!(parse_args(&args(&["paper"])).unwrap().scale, Scale::Paper);
-        assert_eq!(parse_args(&args(&[])).unwrap().scale, Scale::Default);
-    }
 
     #[test]
     fn registry_pins_the_campaign_order() {
@@ -351,15 +163,11 @@ mod tests {
                 "claims",
             ]
         );
-        for (name, _) in REGISTRY {
-            assert!(usage().contains(name), "usage should list {name}");
-        }
     }
 
     #[test]
     fn only_renders_the_selection_in_registry_order() {
-        let options = parse_args(&args(&["--only", "table2,table1"])).unwrap();
-        let rendered: Vec<(&str, Table)> = render(Scale::Quick, &options.only)
+        let rendered: Vec<(&str, Table)> = render(Scale::Quick, &["table2", "table1"])
             .map(|(name, artifact)| (name, artifact.into_table()))
             .collect();
         assert_eq!(

@@ -21,10 +21,10 @@
 //!
 //! # Choosing an execution context
 //!
-//! The process-wide context is installed once (by `repro` or the CLI)
-//! with [`install`]; everything after that call uses it. Tests that need
-//! a specific context run under the scoped [`with_exec`] override
-//! instead.
+//! Experiments run in the context of the innermost [`with_exec`] scope
+//! (`sda repro` runs every artifact in one, with its `--jobs` and
+//! `--cache-dir`); outside any scope they share one default
+//! [`Exec::sweep`].
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -159,25 +159,13 @@ impl Exec {
     }
 }
 
-/// The process-wide execution context, installed by [`install`].
-static GLOBAL: OnceLock<Exec> = OnceLock::new();
-
 thread_local! {
-    /// A scoped override used by tests ([`with_exec`]); checked before
-    /// the process-wide context.
+    /// This thread's [`with_exec`] scopes, innermost last.
     static OVERRIDE: Mutex<Vec<Exec>> = const { Mutex::new(Vec::new()) };
 }
 
-/// Installs the process-wide execution context. Call once, before the
-/// first experiment runs (later calls are ignored — the first
-/// installation wins, matching [`OnceLock`] semantics).
-pub fn install(exec: Exec) {
-    let _ = GLOBAL.set(exec);
-}
-
 /// Runs `f` with `exec` as this thread's execution context, restoring
-/// the previous context afterwards. For tests that must pin a context
-/// without touching process state.
+/// the previous context afterwards.
 pub fn with_exec<T>(exec: Exec, f: impl FnOnce() -> T) -> T {
     OVERRIDE.with(|stack| stack.lock().expect("exec override").push(exec));
     // Pop even if `f` panics, so one failing test cannot leak its
@@ -195,19 +183,13 @@ pub fn with_exec<T>(exec: Exec, f: impl FnOnce() -> T) -> T {
 }
 
 /// The execution context in effect on this thread: the innermost
-/// [`with_exec`] override, else the installed process-wide context, else
-/// the default [`Exec::sweep`] (installed on first use).
+/// [`with_exec`] scope, else the process's default [`Exec::sweep`]
+/// (created on first use).
 fn current() -> Exec {
-    let overridden = OVERRIDE.with(|stack| stack.lock().expect("exec override").last().cloned());
-    if let Some(exec) = overridden {
-        return exec;
-    }
-    GLOBAL.get_or_init(Exec::sweep).clone()
-}
-
-/// The hit/miss accounting of the current context's cache, if any.
-pub fn cache_report() -> Option<CacheReport> {
-    current().cache_report()
+    static DEFAULT: OnceLock<Exec> = OnceLock::new();
+    OVERRIDE
+        .with(|stack| stack.lock().expect("exec override").last().cloned())
+        .unwrap_or_else(|| DEFAULT.get_or_init(Exec::sweep).clone())
 }
 
 /// Runs a batch of experiment data points — all points of a figure or
@@ -312,17 +294,23 @@ mod tests {
 
     #[test]
     fn with_exec_restores_the_previous_context() {
-        let report = with_exec(Exec::sweep().with_jobs(1), || {
+        let (outer, inner) = (Exec::sweep().with_jobs(1), Exec::sweep().with_jobs(1));
+        with_exec(outer.clone(), || {
+            with_exec(inner.clone(), || {
+                run_point(&quick(), 7, 2);
+                run_point(&quick(), 7, 2);
+            });
+            // Back in the outer scope: its cache has not seen the point.
             run_point(&quick(), 7, 2);
-            run_point(&quick(), 7, 2);
-            cache_report().expect("the default context has a cache")
         });
-        assert_eq!(report.misses, 1);
+        let inner = inner.cache_report().expect("sweep exec has a cache");
+        assert_eq!(inner.misses, 1);
         assert_eq!(
-            report.hits_memory, 1,
+            inner.hits_memory, 1,
             "second identical point is a memory hit"
         );
-        // Outside the scope, the uncached context has no cache.
-        assert_eq!(with_exec(Exec::sweep_uncached(), cache_report), None);
+        let outer = outer.cache_report().expect("sweep exec has a cache");
+        assert_eq!((outer.misses, outer.hits()), (1, 0));
+        assert_eq!(Exec::sweep_uncached().cache_report(), None);
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! [`PointCache`] layers an in-memory map (deduplicating repeated points
 //! within one process, e.g. the same baseline curve appearing in two
-//! figures) over an optional on-disk directory (making `repro`
+//! figures) over an optional on-disk directory (making `sda repro`
 //! incremental across invocations). Each cache file also stores the full
 //! canonical preimage; a lookup whose stored preimage does not match is
 //! treated as a miss, so a (cosmically unlikely) hash collision or a
@@ -595,7 +595,7 @@ pub fn parse_multi_run(text: &str, expected_preimage: &str) -> Option<MultiRun> 
 // The cache proper
 // ---------------------------------------------------------------------
 
-/// Hit/miss accounting of a [`PointCache`], as reported by `repro` and
+/// Hit/miss accounting of a [`PointCache`], as reported by `sda repro` and
 /// asserted by the CI cache-smoke job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheReport {

@@ -66,6 +66,6 @@ pub use runner::{
 pub use simulation::{Ev, Simulation};
 pub use sweep::{RunError, Sweep, SweepPoint};
 pub use trace::{
-    parse_jsonl, CountingHandle, CountingSink, FanoutSink, JsonlSink, NoopSink, RingBufferHandle,
+    parse_jsonl, CountingHandle, CountingSink, FanoutSink, JsonlSink, RingBufferHandle,
     RingBufferSink, SharedSink, TraceCounts, TraceEvent, TraceRecord, TraceSink,
 };

@@ -55,9 +55,9 @@
 //! ## Reproducing the paper
 //!
 //! ```bash
-//! cargo run --release -p sda-experiments --bin repro                       # everything
-//! cargo run --release -p sda-experiments --bin repro -- --only fig7 --scale paper
-//! cargo run --release -p sda-experiments --bin repro -- --only checkpoints
+//! cargo run --release -p sda-cli --bin sda -- repro                       # everything
+//! cargo run --release -p sda-cli --bin sda -- repro --only fig7 --scale paper
+//! cargo run --release -p sda-cli --bin sda -- repro --only checkpoints
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for

@@ -1,7 +1,7 @@
 //! Qualitative figure-shape assertions: every claim the paper makes about
 //! who wins where, asserted against quick-scale reproductions of the
 //! actual figures. (Absolute values are compared in `EXPERIMENTS.md` and
-//! by `repro --only checkpoints`; these tests pin down the *shape*.)
+//! by `sda repro --only checkpoints`; these tests pin down the *shape*.)
 
 use sda::experiments::figures;
 use sda::experiments::Scale;
